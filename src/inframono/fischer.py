@@ -11,10 +11,18 @@ by solving, exactly over the rationals, the square system
     (S o T) Q = S(P),      S = sandwich,  T = Q -> x Q x,
 
 on P(k-2).  All operators here commute with the sign flips
-(x_j, e_j) -> (-x_j, -e_j), so the matrix of S o T decomposes into 2^m
-independent blocks, one per value of parity(monomial) xor blade-mask.
-Each block has exactly as many entries as there are degree-(k-2)
-monomials, which keeps exact elimination cheap even at m = 4, k = 6.
+(x_j, e_j) -> (-x_j, -e_j), so each maps the sector parity(monomial) xor
+blade-mask = v of one degree into the same sector of another.  A sector
+of P(k) holds exactly one basis element per degree-k monomial, so the
+matrix of S o T decomposes into 2^m independent square blocks the size
+of the degree-(k-2) monomial count, which keeps exact elimination cheap
+even at m = 4, k = 6.
+
+Every operator has an integer matrix in the (monomial, blade) basis.
+`sector_operator` builds these matrices once per (operator, m, degree)
+as sparse integer columns, straight from exponents and blade signs, and
+the decomposition runs on integer coordinate vectors over one common
+denominator; polynomials appear only at its input and output.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import linalg
-from .algebra import Multivector, blades_in_order
+from .algebra import Multivector, blade_sign, blades_in_order
 from .operators import (
     dirac_left,
     dirac_right,
@@ -42,6 +50,7 @@ from .polynomials import (
     Monomial,
     euler,
     monomial_basis,
+    monomial_count,
     mul_by_x_left,
     mul_by_x_right,
     space_dim,
@@ -83,10 +92,6 @@ def from_coords(m: int, k: int, vec: list[Fraction]) -> CliffordPolynomial:
         if value:
             terms.setdefault(mono, {})[mask] = value
     return CliffordPolynomial(m, {mono: Multivector(m, tm) for mono, tm in terms.items()})
-
-
-def _basis_poly(m: int, mono: Monomial, mask: int) -> CliffordPolynomial:
-    return CliffordPolynomial(m, {mono: Multivector(m, {mask: 1})})
 
 
 # -- Fischer inner product -----------------------------------------------------
@@ -193,9 +198,6 @@ def adjointness_report(p: CliffordPolynomial, q: CliffordPolynomial) -> Adjointn
     return AdjointnessReport(left, right, two_sided)
 
 
-# -- operator matrices ----------------------------------------------------------
-
-
 def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
     """x^s p x^s: the two-sided embedding applied s times."""
     for _ in range(times):
@@ -203,15 +205,137 @@ def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
     return p
 
 
-def _operator_matrix(apply_fn, m: int, k_out: int, k_in: int) -> linalg.Matrix:
-    index = _basis_index(m, k_out)
-    columns = poly_basis(m, k_in)
-    mat = [[Fraction(0)] * len(columns) for _ in range(len(index))]
-    for col, (mono, mask) in enumerate(columns):
-        image = apply_fn(_basis_poly(m, mono, mask))
-        for mono2, coeff in image.items():
-            for mask2, value in coeff.items():
-                mat[index[(mono2, mask2)]][col] = value
+# -- compiled sector operators ----------------------------------------------------
+
+
+# Degree change of each operator.  The primitives act on x^a e_A one axis j
+# at a time; the composites apply their primitives first to last, so
+# sandwich = right Dirac after left Dirac and wrap_x = x_left after x_right,
+# as in `operators.sandwich` and `wrap_x`.
+_DEGREE_SHIFT = {"dirac_left": -1, "dirac_right": -1, "x_left": 1, "x_right": 1,
+                 "laplacian": -2, "sandwich": -2, "wrap_x": 2}
+_COMPOSITES = {"sandwich": ("dirac_left", "dirac_right"), "wrap_x": ("x_right", "x_left")}
+
+#: Columns of one sector block: per input monomial, (output monomial index, value) pairs.
+SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _parity(mono: Monomial) -> int:
+    return sum(1 << j for j, e in enumerate(mono) if e & 1)
+
+
+@lru_cache(maxsize=None)
+def _sector_positions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Basis positions of P(k) in sector v, indexed by v, in monomial order.
+
+    Sector v holds one basis element per monomial a, with blade
+    v xor parity(a); its local coordinate index is the monomial's index.
+    """
+    n = 1 << m
+    slot = {mask: i for i, mask in enumerate(blades_in_order(m))}
+    parities = [_parity(a) for a in monomial_basis(m, k)]
+    return tuple(tuple(i * n + slot[v ^ par] for i, par in enumerate(parities)) for v in range(n))
+
+
+def _primitive_term(op: str, a: Monomial, mask: int, j: int) -> tuple[Monomial, int] | None:
+    """The axis-j term of op(x^a e_mask): its monomial and integer coefficient."""
+    e = a[j]
+    if op == "laplacian":
+        return (a[:j] + (e - 2,) + a[j + 1:], e * (e - 1)) if e >= 2 else None
+    bit = 1 << j
+    sign = blade_sign(bit, mask) if op.endswith("_left") else blade_sign(mask, bit)
+    if op.startswith("x_"):
+        return a[:j] + (e + 1,) + a[j + 1:], sign
+    return (a[:j] + (e - 1,) + a[j + 1:], e * sign) if e else None
+
+
+def _compose(
+    first: tuple[SectorColumns, ...], second: tuple[SectorColumns, ...]
+) -> tuple[SectorColumns, ...]:
+    """Sector blocks of `second` after `first`."""
+    out = []
+    for cols_first, cols_second in zip(first, second):
+        block = []
+        for col in cols_first:
+            acc: dict[int, int] = {}
+            for r, a in col:
+                for r2, b in cols_second[r]:
+                    acc[r2] = acc.get(r2, 0) + a * b
+            block.append(tuple(sorted((r, x) for r, x in acc.items() if x)))
+        out.append(tuple(block))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
+    """Sparse integer matrix of an operator on P(k_in), one block per sector.
+
+    ``op`` is one of dirac_left, dirac_right, x_left, x_right, laplacian,
+    sandwich or wrap_x.  Entry v of the result is the block of sector v:
+    column i is the image of the sector's basis element on the i-th
+    degree-k_in monomial, as (monomial index in degree k_in + shift, value)
+    pairs with nonzero integer values, ascending by index.  Columns are
+    empty when the output degree is negative.
+    """
+    if op not in _DEGREE_SHIFT:
+        raise ValueError(f"unknown operator {op!r}")
+    if k_in < 0:
+        raise ValueError(f"degree must be non-negative, got {k_in}")
+    if op in _COMPOSITES:
+        blocks = None
+        k = k_in
+        for step in _COMPOSITES[op]:
+            if k < 0:
+                break
+            part = sector_operator(step, m, k)
+            blocks = part if blocks is None else _compose(blocks, part)
+            k += _DEGREE_SHIFT[step]
+        return blocks
+    monos = monomial_basis(m, k_in)
+    k_out = k_in + _DEGREE_SHIFT[op]
+    if k_out < 0:
+        return tuple(tuple(() for _ in monos) for _ in range(1 << m))
+    row = {mono: i for i, mono in enumerate(monomial_basis(m, k_out))}
+    out = []
+    for v in range(1 << m):
+        block = []
+        for a in monos:
+            mask = v ^ _parity(a)
+            terms = (_primitive_term(op, a, mask, j) for j in range(m))
+            block.append(tuple(sorted((row[b], x) for b, x in filter(None, terms))))
+        out.append(tuple(block))
+    return tuple(out)
+
+
+def _apply(columns: SectorColumns, vec: list[int], n_rows: int) -> list[int]:
+    """One sector block times a sector-local vector."""
+    out = [0] * n_rows
+    for col, x in zip(columns, vec):
+        if x:
+            for r, value in col:
+                out[r] += value * x
+    return out
+
+
+def _block(columns: SectorColumns, n_rows: int, keep=None) -> list[list[int]]:
+    """Dense rows of one sector block, restricted to the columns ``keep``."""
+    keep = range(len(columns)) if keep is None else keep
+    mat = [[0] * len(keep) for _ in range(n_rows)]
+    for c, i in enumerate(keep):
+        for r, value in columns[i]:
+            mat[r][c] = value
+    return mat
+
+
+def _dense(op: str, m: int, k_in: int) -> linalg.Matrix:
+    """Matrix of an operator on P(k_in) in the global bases."""
+    k_out = k_in + _DEGREE_SHIFT[op]
+    rows_at, cols_at = _sector_positions(m, k_out), _sector_positions(m, k_in)
+    mat = [[Fraction(0)] * space_dim(m, k_in) for _ in range(space_dim(m, k_out))]
+    for v, columns in enumerate(sector_operator(op, m, k_in)):
+        for c, col in enumerate(columns):
+            for r, value in col:
+                mat[rows_at[v][r]][cols_at[v][c]] = Fraction(value)
     return mat
 
 
@@ -219,118 +343,70 @@ def sandwich_matrix(m: int, k: int) -> linalg.Matrix:
     """Matrix of the sandwich operator P(k) -> P(k-2) in the global basis."""
     if k < 2:
         raise ValueError(f"sandwich matrix needs degree k >= 2, got {k}")
-    return _operator_matrix(sandwich, m, k - 2, k)
+    return _dense("sandwich", m, k)
 
 
 def embed_matrix(m: int, k: int) -> linalg.Matrix:
     """Matrix of Q -> x Q x from P(k-2) into P(k) in the global basis."""
     if k < 2:
         raise ValueError(f"embedding matrix needs degree k >= 2, got {k}")
-    return _operator_matrix(wrap_x, m, k, k - 2)
+    return _dense("wrap_x", m, k - 2)
+
+
+@lru_cache(maxsize=None)
+def _weights(m: int, k: int) -> tuple[int, ...]:
+    """Fischer weights a! of the degree-k monomials; [conj(e_A) e_A]_0 = 1 for every blade."""
+    return tuple(_mono_factorial(a) for a in monomial_basis(m, k))
 
 
 # -- sector decomposition --------------------------------------------------------
 
 
-def _sector_key(mono: Monomial, mask: int) -> int:
-    parity = 0
-    for j, e in enumerate(mono):
-        if e & 1:
-            parity |= 1 << j
-    return parity ^ mask
-
-
-@lru_cache(maxsize=None)
-def _sector_positions(m: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Basis positions of P(k) grouped by sector, sectors in ascending order."""
-    groups: dict[int, list[int]] = {}
-    for pos, (mono, mask) in enumerate(poly_basis(m, k)):
-        groups.setdefault(_sector_key(mono, mask), []).append(pos)
-    return tuple((v, tuple(ps)) for v, ps in sorted(groups.items()))
-
-
-def _image_coords_local(
-    image: CliffordPolynomial, m: int, k_out: int, local: dict[int, int], size: int
-) -> list[Fraction]:
-    """Coordinates of an image restricted to one sector of P(k_out).
-
-    A key error here would mean an operator broke the sector invariant,
-    which cannot happen for the maps used in this module.
-    """
-    index = _basis_index(m, k_out)
-    col = [Fraction(0)] * size
-    for mono, coeff in image.items():
-        for mask, value in coeff.items():
-            col[local[index[(mono, mask)]]] = value
-    return col
-
-
-@lru_cache(maxsize=None)
-def _composition_blocks(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
-    """Sector blocks of Q -> sandwich(x Q x) acting on P(k-2)."""
+def _composition(m: int, k: int) -> tuple[SectorColumns, ...]:
+    """Sector blocks S o T of Q -> sandwich(x Q x) acting on P(k-2)."""
     if k < 2:
         raise ValueError(f"composition blocks need degree k >= 2, got {k}")
-    basis = poly_basis(m, k - 2)
-    out = []
-    for _, positions in _sector_positions(m, k - 2):
-        local = {pos: i for i, pos in enumerate(positions)}
-        size = len(positions)
-        block = [[Fraction(0)] * size for _ in range(size)]
-        for c, pos in enumerate(positions):
-            mono, mask = basis[pos]
-            image = sandwich(wrap_x(_basis_poly(m, mono, mask)))
-            for r, value in enumerate(_image_coords_local(image, m, k - 2, local, size)):
-                block[r][c] = value
-        out.append((positions, tuple(tuple(row) for row in block)))
-    return tuple(out)
+    return _compose(sector_operator("wrap_x", m, k - 2), sector_operator("sandwich", m, k))
 
 
 @lru_cache(maxsize=None)
-def _composition_solver(m: int, k: int) -> tuple[tuple[tuple[int, ...], linalg.Matrix], ...]:
-    """Per-sector inverses of the composed map on P(k-2).
+def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Per-sector inverses of the composed map on P(k-2), as (den, integer matrices).
 
-    Singularity would contradict the direct-sum theorem and is treated as
-    an internal error.
+    The inverse of sector v's block is its matrix divided by the one common
+    denominator den.  Singularity would contradict the direct-sum theorem
+    and is treated as an internal error.
     """
-    out = []
-    for positions, block in _composition_blocks(m, k):
+    n = monomial_count(m, k - 2)
+    inverses = []
+    for columns in _composition(m, k):
         try:
-            inverse = linalg.invert([list(row) for row in block])
+            inverses.append(linalg.invert(_block(columns, n)))
         except linalg.SingularMatrixError as exc:
             raise RuntimeError(
                 f"sandwich composition is singular on a sector of P({k - 2}) "
                 f"for m={m}; this indicates an implementation bug"
             ) from exc
-        out.append((positions, inverse))
-    return tuple(out)
+    den = lcm(*(x.denominator for inverse in inverses for row in inverse for x in row))
+    return den, tuple(
+        tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse)
+        for inverse in inverses
+    )
 
 
 def composition_rank(m: int, k: int) -> int:
     """Rank of Q -> sandwich(x Q x) on P(k-2), by exact sector elimination."""
-    return sum(linalg.rank([list(r) for r in block]) for _, block in _composition_blocks(m, k))
+    blocks = _composition(m, k)  # rejects k < 2
+    n = monomial_count(m, k - 2)
+    return sum(linalg.rank(_block(columns, n)) for columns in blocks)
 
 
 def sandwich_rank(m: int, k: int) -> int:
     """Rank of the sandwich operator on P(k), by exact sector elimination."""
     if k < 2:
         return 0
-    basis = poly_basis(m, k)
-    out_sectors = {v: positions for v, positions in _sector_positions(m, k - 2)}
-    total = 0
-    for v, positions in _sector_positions(m, k):
-        rows = out_sectors.get(v, ())
-        if not rows:
-            continue
-        local = {pos: i for i, pos in enumerate(rows)}
-        block = []
-        for pos in positions:
-            mono, mask = basis[pos]
-            image = sandwich(_basis_poly(m, mono, mask))
-            block.append(_image_coords_local(image, m, k - 2, local, len(rows)))
-        # columns were built row-wise; transpose to rows x cols
-        matrix = [[block[c][r] for c in range(len(positions))] for r in range(len(rows))]
-        total += linalg.rank(matrix)
-    return total
+    n = monomial_count(m, k - 2)
+    return sum(linalg.rank(_block(columns, n)) for columns in sector_operator("sandwich", m, k))
 
 
 def infra_space_dim(m: int, k: int) -> int:
@@ -361,12 +437,64 @@ class DecompositionChecks:
         }
 
 
-@lru_cache(maxsize=None)
-def _embedded_basis(m: int, k: int) -> tuple[CliffordPolynomial, ...]:
-    """x b x for every basis element b of P(k-2); the orthogonality witnesses."""
-    if k < 2:
-        return ()
-    return tuple(wrap_x(_basis_poly(m, mono, mask)) for mono, mask in poly_basis(m, k - 2))
+# Sector-local integer coordinates: entry v lists the numerators of sector v.
+SectorVector = list[list[int]]
+
+
+def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
+    """Numerators of p's coordinates by sector, and their common denominator."""
+    vec = coords(p, k)
+    den = lcm(*(x.denominator for x in vec if x))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    return [[ints[pos] for pos in positions] for positions in _sector_positions(p.dim, k)], den
+
+
+def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolynomial:
+    flat: list[int | Fraction] = [0] * space_dim(m, k)
+    for positions, values in zip(_sector_positions(m, k), vec):
+        for pos, x in zip(positions, values):
+            if x:
+                flat[pos] = Fraction(x, den)
+    return from_coords(m, k, flat)
+
+
+def _split(
+    m: int, k: int, vec: SectorVector
+) -> tuple[SectorVector, SectorVector, int, DecompositionChecks]:
+    """Split c = vec / d of degree k >= 2 as (infra + T quotient) / (den d).
+
+    Returns (infra, quotient, den, checks).  The flags are evaluated on the
+    integers: den vec = infra + T quotient, S infra = 0, and T^t W infra = 0,
+    i.e. the Fischer pairing of infra with x b x for every basis element b
+    of P(k-2).
+    """
+    den, inverses = _composition_solver(m, k)
+    n_low = monomial_count(m, k - 2)
+    weights = _weights(m, k)
+    infra: SectorVector = []
+    quotient: SectorVector = []
+    reconstruction = sandwich_zero = orthogonal = True
+    for c, s_cols, t_cols, inverse in zip(
+        vec, sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2), inverses
+    ):
+        if not any(c):
+            infra.append(c)
+            quotient.append([0] * n_low)
+            continue
+        rhs = _apply(s_cols, c, n_low)
+        q = linalg.mat_vec(inverse, rhs) if any(rhs) else [0] * n_low
+        tq = _apply(t_cols, q, len(c))
+        inf = [den * x - y for x, y in zip(c, tq)]
+        reconstruction = reconstruction and all(
+            x + y == den * z for x, y, z in zip(inf, tq, c)
+        )
+        sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
+        if orthogonal:
+            weighted = [w * x for w, x in zip(weights, inf)]
+            orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
+        infra.append(inf)
+        quotient.append(q)
+    return infra, quotient, den, DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
 
 
 @dataclass(frozen=True)
@@ -413,22 +541,12 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     if k is None or k < 2:
         zero = CliffordPolynomial.zero(m)
         return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
-    rhs = coords(sandwich(p), k - 2)
-    solution = [Fraction(0)] * len(rhs)
-    for positions, inverse in _composition_solver(m, k):
-        sub = [rhs[pos] for pos in positions]
-        if any(sub):
-            for pos, value in zip(positions, linalg.mat_vec(inverse, sub)):
-                solution[pos] = value
-    quotient = from_coords(m, k - 2, solution)
-    embedded = wrap_x(quotient)
-    infra = p - embedded
-    checks = DecompositionChecks(
-        reconstruction=(infra + embedded == p),
-        sandwich_zero=sandwich(infra).is_zero(),
-        orthogonal=all(fischer_inner(infra, w) == 0 for w in _embedded_basis(m, k)),
+    vec, den = _sector_coords(p, k)
+    infra, quotient, step_den, checks = _split(m, k, vec)
+    den *= step_den
+    return DecompositionResult(
+        p, _from_sectors(m, k, infra, den), _from_sectors(m, k - 2, quotient, den), checks
     )
-    return DecompositionResult(p, infra, quotient, checks)
 
 
 @dataclass(frozen=True)
@@ -473,27 +591,52 @@ class FischerTower:
 
 
 def fischer_tower(p: CliffordPolynomial) -> FischerTower:
-    """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers."""
+    """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers.
+
+    The flags: the layers rebuild p (Horner's rule with T on the integers),
+    every layer is inframonogenic, and the first split is orthogonal.
+    """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")
+    m = p.dim
     k = p.degree() or 0
-    layers: list[TowerLayer] = []
-    first: DecompositionResult | None = None
-    current = p
-    for s in range(k // 2 + 1):
-        step = fischer_decompose(current)
-        if first is None:
-            first = step
-        layers.append(TowerLayer(s, step.infra_part))
-        current = step.quotient
-    assert first is not None
-    tower = tuple(layers)
-    reconstruction = sum(
-        (wrap_x(layer.component, layer.s) for layer in tower), CliffordPolynomial.zero(p.dim)
-    ) == p
-    all_infra = all(sandwich(layer.component).is_zero() for layer in tower)
-    checks = DecompositionChecks(reconstruction, all_infra, first.checks.orthogonal)
-    return FischerTower(p, tower, first.quotient, checks)
+    if k < 2:
+        zero = CliffordPolynomial.zero(m)
+        return FischerTower(p, (TowerLayer(0, p),), zero, DecompositionChecks(True, True, True))
+    vec, den = _sector_coords(p, k)
+    parts: list[tuple[SectorVector, int]] = []  # layer s: numerators over a denominator
+    step_checks: list[DecompositionChecks] = []
+    current, current_den = vec, den
+    for s in range(k // 2):
+        infra, current, step_den, checks = _split(m, k - 2 * s, current)
+        current_den *= step_den
+        if s == 0:
+            first_quotient = _from_sectors(m, k - 2, current, current_den)
+        parts.append((infra, current_den))
+        step_checks.append(checks)
+    parts.append((current, current_den))
+
+    # Each layer's denominator divides the next one's, and the last is the largest.
+    total = current
+    for s in range(k // 2 - 1, -1, -1):
+        layer, layer_den = parts[s]
+        factor = current_den // layer_den
+        lifted = zip(layer, sector_operator("wrap_x", m, k - 2 * s - 2), total)
+        total = [
+            [factor * x + y for x, y in zip(part, _apply(cols, below, len(part)))]
+            for part, cols, below in lifted
+        ]
+    factor = current_den // den
+    reconstruction = total == [[factor * x for x in c] for c in vec]
+
+    layers = tuple(
+        TowerLayer(s, _from_sectors(m, k - 2 * s, numerators, layer_den))
+        for s, (numerators, layer_den) in enumerate(parts)
+    )
+    checks = DecompositionChecks(
+        reconstruction, all(c.sandwich_zero for c in step_checks), step_checks[0].orthogonal
+    )
+    return FischerTower(p, layers, first_quotient, checks)
 
 
 # -- Almansi splitting ------------------------------------------------------------
@@ -567,11 +710,11 @@ def harmonic_inframonogenic_report(h: CliffordPolynomial) -> HarmonicInframonoge
 # -- exact kernel sampling ----------------------------------------------------------
 
 _KERNEL_OPERATORS = {
-    "inframonogenic": ((sandwich, 2),),
-    "left_monogenic": ((dirac_left, 1),),
-    "right_monogenic": ((dirac_right, 1),),
-    "two_sided_monogenic": ((dirac_left, 1), (dirac_right, 1)),
-    "harmonic": ((laplacian, 2),),
+    "inframonogenic": ("sandwich",),
+    "left_monogenic": ("dirac_left",),
+    "right_monogenic": ("dirac_right",),
+    "two_sided_monogenic": ("dirac_left", "dirac_right"),
+    "harmonic": ("laplacian",),
 }
 
 
@@ -589,53 +732,30 @@ def kernel_basis(
         raise ValueError(f"unknown kernel kind {kind!r}")
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    operators = [(fn, k - drop) for fn, drop in _KERNEL_OPERATORS[kind]]
-    basis = poly_basis(m, k)
-    selected: dict[int, list[int]] = {}
-    for pos, (mono, mask) in enumerate(basis):
-        if grade is not None and bin(mask).count("1") != grade:
-            continue
-        selected.setdefault(_sector_key(mono, mask), []).append(pos)
-
+    operators = [
+        (sector_operator(op, m, k), monomial_count(m, k + _DEGREE_SHIFT[op]))
+        for op in _KERNEL_OPERATORS[kind]
+        if k + _DEGREE_SHIFT[op] >= 0
+    ]
+    parities = [_parity(a) for a in monomial_basis(m, k)]
+    size = space_dim(m, k)
     out: list[CliffordPolynomial] = []
-    out_sectors = {
-        k_out: dict(_sector_positions(m, k_out)) for _, k_out in operators if k_out >= 0
-    }
-    for v in sorted(selected):
-        positions = selected[v]
-        columns: list[list[Fraction]] = []
-        n_rows = 0
-        row_plans = []
-        for fn, k_out in operators:
-            if k_out < 0:
-                continue
-            rows = out_sectors[k_out].get(v, ())
-            row_plans.append((fn, k_out, {pos: i for i, pos in enumerate(rows)}, len(rows)))
-            n_rows += len(rows)
-        for pos in positions:
-            mono, mask = basis[pos]
-            b = _basis_poly(m, mono, mask)
-            col: list[Fraction] = []
-            for fn, k_out, local, size in row_plans:
-                col.extend(_image_coords_local(fn(b), m, k_out, local, size))
-            columns.append(col)
-        if n_rows == 0:
-            vectors = [
-                [Fraction(int(i == j)) for j in range(len(positions))]
-                for i in range(len(positions))
-            ]
+    for v, positions in enumerate(_sector_positions(m, k)):
+        keep = [
+            i for i, par in enumerate(parities) if grade is None or bin(v ^ par).count("1") == grade
+        ]
+        if not keep:
+            continue
+        rows = [row for blocks, n in operators for row in _block(blocks[v], n, keep)]
+        if rows:
+            vectors = linalg.nullspace(rows)
         else:
-            matrix = [[columns[c][r] for c in range(len(positions))] for r in range(n_rows)]
-            vectors = linalg.nullspace(matrix)
+            vectors = [[int(i == j) for j in range(len(keep))] for i in range(len(keep))]
         for vec in vectors:
-            terms: dict[Monomial, dict[int, Fraction]] = {}
-            for value, pos in zip(vec, positions):
-                if value:
-                    mono, mask = basis[pos]
-                    terms.setdefault(mono, {})[mask] = value
-            out.append(
-                CliffordPolynomial(m, {mono: Multivector(m, tm) for mono, tm in terms.items()})
-            )
+            flat: list[int | Fraction] = [0] * size
+            for value, i in zip(vec, keep):
+                flat[positions[i]] = value
+            out.append(from_coords(m, k, flat))
     return tuple(out)
 
 

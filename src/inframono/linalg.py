@@ -1,16 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are plain lists of Fraction rows.  The block sizes produced by
-the sector decomposition in `fischer` are small (tens of rows), so plain
-reduced Gaussian elimination is both simple and fast enough.
+Matrices are plain lists of rows whose entries are ints or Fractions.
+The block sizes produced by the sector decomposition in `fischer` are
+small (tens of rows), so plain reduced Gaussian elimination is both
+simple and fast enough.  `solve`, `invert` and `nullspace` return
+Fractions whatever the input; `mat_vec` keeps the type of its input, so
+an integer matrix times an integer vector stays in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list[int | Fraction]]
+Vector = list[int | Fraction]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -95,4 +99,5 @@ def invert(matrix: Matrix) -> Matrix:
 
 
 def mat_vec(matrix: Matrix, vec: Vector) -> Vector:
-    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in matrix]
+    """Matrix times vector; ints in, ints out."""
+    return [sum(map(mul, row, vec)) for row in matrix]

@@ -1,0 +1,126 @@
+"""The compiled integer sector operators and the decomposition built on them."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from inframono import (
+    CliffordPolynomial,
+    Multivector,
+    coords,
+    dirac_left,
+    dirac_right,
+    embed_matrix,
+    fischer_decompose,
+    fischer_tower,
+    from_coords,
+    laplacian,
+    mul_by_x_left,
+    mul_by_x_right,
+    poly_basis,
+    sandwich,
+    sandwich_matrix,
+    wrap_x,
+)
+from inframono import fischer
+from inframono.fischer import sector_operator
+from inframono.linalg import solve
+from helpers import random_polynomial
+
+POLYNOMIAL_OPERATORS = {
+    "dirac_left": (dirac_left, -1),
+    "dirac_right": (dirac_right, -1),
+    "x_left": (mul_by_x_left, 1),
+    "x_right": (mul_by_x_right, 1),
+    "laplacian": (laplacian, -2),
+    "sandwich": (sandwich, -2),
+    "wrap_x": (wrap_x, 2),
+}
+
+CASES = [(m, k) for m in (1, 2, 3, 4) for k in range(7)] + [(5, k) for k in range(5)]
+
+
+def matmul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@pytest.mark.parametrize("m,k", CASES)
+def test_columns_equal_polynomial_operators(m, k):
+    """Every entry of every compiled column equals the operator on that basis element."""
+    in_at = fischer._sector_positions(m, k)
+    for op, (apply_fn, shift) in POLYNOMIAL_OPERATORS.items():
+        blocks = sector_operator(op, m, k)
+        # columns are empty below degree 0, so the output basis is never read there
+        out_at = fischer._sector_positions(m, k + shift) if k + shift >= 0 else None
+        out_basis = poly_basis(m, k + shift) if k + shift >= 0 else None
+        assert len(blocks) == 1 << m
+        for v, columns in enumerate(blocks):
+            assert len(columns) == len(in_at[v])
+            for col, pos in zip(columns, in_at[v]):
+                mono, mask = poly_basis(m, k)[pos]
+                image = apply_fn(CliffordPolynomial(m, {mono: Multivector(m, {mask: 1})}))
+                got = {}
+                for r, value in col:
+                    assert isinstance(value, int) and value != 0
+                    got[out_basis[out_at[v][r]]] = value
+                want = {(mono2, mask2): value for mono2, coeff in image.items()
+                        for mask2, value in coeff.items()}
+                assert got == want, (op, m, k, mono, mask)
+                assert [r for r, _ in col] == sorted({r for r, _ in col})
+
+
+def test_unknown_operator_and_negative_degree_rejected():
+    with pytest.raises(ValueError):
+        sector_operator("dirac", 2, 2)
+    with pytest.raises(ValueError):
+        sector_operator("sandwich", 2, -1)
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3) for k in (2, 3, 4)])
+def test_decompose_matches_dense_reference_solve(m, k):
+    """The sector solve agrees with one dense solve of (S T) q = S p."""
+    s = sandwich_matrix(m, k)
+    composed = matmul(s, embed_matrix(m, k))
+    rng = random.Random(100 * m + k)
+    for _ in range(3):
+        p = random_polynomial(rng, m, k, max_terms=8)
+        rhs = [sum(a * b for a, b in zip(row, coords(p, k))) for row in s]
+        q = from_coords(m, k - 2, solve(composed, rhs))
+        result = fischer_decompose(p)
+        assert result.quotient == q
+        assert result.infra_part == p - wrap_x(q)
+
+
+def _perturbed_solver(monkeypatch, m, k):
+    """Replace the cached (m, k) solver by a copy with one inverse entry off by one."""
+    real = fischer._composition_solver
+    den, inverses = real(m, k)
+    block = [list(row) for row in inverses[0]]
+    block[0][0] += 1
+    fake = (den, (tuple(map(tuple, block)),) + inverses[1:])
+    monkeypatch.setattr(fischer, "_composition_solver",
+                        lambda m2, k2: fake if (m2, k2) == (m, k) else real(m2, k2))
+
+
+def test_flags_catch_a_corrupted_inverse(monkeypatch):
+    # x1^2 lies in sector 0 and its sandwich image -2 has the first local coordinate
+    p = CliffordPolynomial.monomial(3, (2, 0, 0), 1)
+    honest = fischer_decompose(p)
+    assert honest.checks.all_ok and fischer_tower(p).checks.all_ok
+    _perturbed_solver(monkeypatch, 3, 2)
+    result = fischer_decompose(p)
+    assert result.quotient != honest.quotient
+    assert result.checks.sandwich_zero is False
+    assert result.checks.orthogonal is False
+    assert fischer_tower(p).checks.all_ok is False
+    monkeypatch.undo()
+    assert fischer_decompose(p).checks.all_ok
+
+
+def test_tower_flags_catch_a_corrupted_lower_layer(monkeypatch):
+    p = CliffordPolynomial.monomial(2, (4, 0), Fraction(3, 2))
+    _perturbed_solver(monkeypatch, 2, 2)
+    tower = fischer_tower(p)
+    assert tower.checks.sandwich_zero is False and not tower.checks.all_ok
