@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from inframono.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,6 +33,33 @@ class TestGolden:
         code, out, err = run_cli(capsys, "dims", "--m", "3", "--k", "4")
         assert code == 0 and err == ""
         assert out == (GOLDEN / "dims_m3_k4.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("decompose", "--m", "2", "--k", "2", "x1^2"), "decompose_x1sq.txt"),
+            (("tower", "--m", "3", "x1^4*e12"), "tower_m3_x1p4e12.txt"),
+            (("almansi", "--m", "2", "x1*x2"), "almansi_m2_x1x2.txt"),
+        ],
+    )
+    def test_text_output(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_family_labels(self, capsys):
+        code, out, err = run_cli(
+            capsys, "family", "--c1", "1", "--c2", "0", "--c3", "1", "--c4", "0", "--n", "2"
+        )
+        assert code == 0 and err == ""
+        labels = [line.split(" = ")[0] for line in out.splitlines()]
+        assert labels == [
+            "sandwich_max_residual",
+            "sandwich_max_relative",
+            "laplacian_max_residual",
+            "harmonic",
+            "ode_max_residual",
+        ]
 
 
 class TestJsonStability:
