@@ -330,37 +330,30 @@ def _require_pure(value: Multivector, role: str, grade: int | None = None) -> in
     return found
 
 
+def _vector_product(vec: Multivector, other: Multivector, side: str, shift: int) -> Multivector:
+    """[vec Y_k]_(k+shift) with the vector on the given side of Y_k, zero when Y = 0."""
+    _require_pure(vec, f"{side} factor", 1)
+    k = _require_pure(other, "right factor" if side == "left" else "left factor")
+    if k is None:
+        return Multivector.zero(other.dim)
+    return (vec * other if side == "left" else other * vec).grade(k + shift)
+
+
 def vector_inner_left(x: Multivector, y: Multivector) -> Multivector:
     """Inner product x . Y_k = [x Y_k]_(k-1) for a vector x (zero when k = 0)."""
-    _require_pure(x, "left factor", 1)
-    k = _require_pure(y, "right factor")
-    if k is None or k == 0:
-        return Multivector.zero(y.dim)
-    return (x * y).grade(k - 1)
+    return _vector_product(x, y, "left", -1)
 
 
 def vector_outer_left(x: Multivector, y: Multivector) -> Multivector:
     """Outer product x ^ Y_k = [x Y_k]_(k+1) for a vector x."""
-    _require_pure(x, "left factor", 1)
-    k = _require_pure(y, "right factor")
-    if k is None:
-        return Multivector.zero(y.dim)
-    return (x * y).grade(k + 1)
+    return _vector_product(x, y, "left", 1)
 
 
 def vector_inner_right(y: Multivector, x: Multivector) -> Multivector:
     """Inner product Y_k . x = [Y_k x]_(k-1) for a vector x (zero when k = 0)."""
-    _require_pure(x, "right factor", 1)
-    k = _require_pure(y, "left factor")
-    if k is None or k == 0:
-        return Multivector.zero(y.dim)
-    return (y * x).grade(k - 1)
+    return _vector_product(x, y, "right", -1)
 
 
 def vector_outer_right(y: Multivector, x: Multivector) -> Multivector:
     """Outer product Y_k ^ x = [Y_k x]_(k+1) for a vector x."""
-    _require_pure(x, "right factor", 1)
-    k = _require_pure(y, "left factor")
-    if k is None:
-        return Multivector.zero(y.dim)
-    return (y * x).grade(k + 1)
+    return _vector_product(x, y, "right", 1)

@@ -29,15 +29,27 @@ from .numeric import (
     sandwich_scan,
 )
 from .operators import is_left_monogenic, predicate_report
-from .polynomials import CliffordPolynomial, mul_by_x_left, space_dim
+from .polynomials import CliffordPolynomial, space_dim
 
 
-def _fmt_float(value: float) -> str:
-    return f"{value:.12g}"
+def _text(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _lines(doc: dict, keys: Sequence[str]) -> list[str]:
+    """Text lines: ``key = value``, or ``name: true|false`` for each entry of a dict value."""
+    lines = []
+    for key in keys:
+        value = doc[key]
+        if isinstance(value, dict):
+            lines += [f"{name}: {_text(flag)}" for name, flag in value.items()]
+        else:
+            lines.append(f"{key} = {_text(value)}")
+    return lines
 
 
 def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
@@ -65,7 +77,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for poly in _read_polynomials(args, None):
         report = predicate_report(poly)
         doc = {"m": args.m, "input": str(poly), "predicates": report}
-        _emit(args, doc, [f"{name}: {_bool(value)}" for name, value in report.items()])
+        _emit(args, doc, _lines(doc, ["predicates"]))
     return 0
 
 
@@ -81,14 +93,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         _check_degree_flag(args, poly)
         result = fischer_decompose(poly)
         doc = result.to_json_dict()
-        lines = [
-            f"m = {doc['m']}",
-            f"k = {doc['k']}",
-            f"input = {doc['input']}",
-            f"infra = {doc['infra']}",
-            f"quotient = {doc['quotient']}",
-        ] + [f"{name}: {_bool(ok)}" for name, ok in doc["checks"].items()]
-        _emit(args, doc, lines)
+        _emit(args, doc, _lines(doc, ["m", "k", "input", "infra", "quotient", "checks"]))
     return 0
 
 
@@ -97,14 +102,8 @@ def _cmd_tower(args: argparse.Namespace) -> int:
         _check_degree_flag(args, poly)
         tower = fischer_tower(poly)
         doc = tower.to_json_dict()
-        lines = [
-            f"m = {doc['m']}",
-            f"k = {doc['k']}",
-            f"input = {doc['input']}",
-        ]
-        lines += [f"layer {layer['s']} = {layer['component']}" for layer in doc["layers"]]
-        lines += [f"{name}: {_bool(ok)}" for name, ok in doc["checks"].items()]
-        _emit(args, doc, lines)
+        layers = [f"layer {layer['s']} = {layer['component']}" for layer in doc["layers"]]
+        _emit(args, doc, _lines(doc, ["m", "k", "input"]) + layers + _lines(doc, ["checks"]))
     return 0
 
 
@@ -142,27 +141,19 @@ def _cmd_almansi(args: argparse.Namespace) -> int:
     for poly in _read_polynomials(args, None):
         _check_degree_flag(args, poly)
         split = almansi_split(poly)
-        checks = {
-            "reconstruction": split.plain_part + mul_by_x_left(split.x_part) == poly,
-            "plain_left_monogenic": is_left_monogenic(split.plain_part),
-            "x_left_monogenic": is_left_monogenic(split.x_part),
-        }
         doc = {
             "m": args.m,
             "k": poly.degree() or 0,
             "input": str(poly),
             "plain_part": str(split.plain_part),
             "x_part": str(split.x_part),
-            "checks": checks,
+            "checks": {
+                "reconstruction": split.reconstruct() == poly,
+                "plain_left_monogenic": is_left_monogenic(split.plain_part),
+                "x_left_monogenic": is_left_monogenic(split.x_part),
+            },
         }
-        lines = [
-            f"m = {doc['m']}",
-            f"k = {doc['k']}",
-            f"input = {doc['input']}",
-            f"plain_part = {doc['plain_part']}",
-            f"x_part = {doc['x_part']}",
-        ] + [f"{name}: {_bool(ok)}" for name, ok in checks.items()]
-        _emit(args, doc, lines)
+        _emit(args, doc, _lines(doc, ["m", "k", "input", "plain_part", "x_part", "checks"]))
     return 0
 
 
@@ -175,25 +166,21 @@ def _cmd_family(args: argparse.Namespace) -> int:
     ode_max = max(
         max(abs(r) for r in ode_system_residual(family, x1)) for x1 in axis
     )
-    doc = {
-        "c": [args.c1, args.c2, args.c3, args.c4],
-        "n": args.n,
-        "h": args.h,
-        "grid_side": args.grid_side,
+    results = {
         "sandwich_max_residual": sand.max_residual,
         "sandwich_max_relative": sand.max_relative,
         "laplacian_max_residual": lap.max_residual,
         "harmonic": harmonic,
         "ode_max_residual": ode_max,
     }
-    lines = [
-        f"sandwich_max_residual = {_fmt_float(sand.max_residual)}",
-        f"sandwich_max_relative = {_fmt_float(sand.max_relative)}",
-        f"laplacian_max_residual = {_fmt_float(lap.max_residual)}",
-        f"harmonic = {_bool(harmonic)}",
-        f"ode_max_residual = {_fmt_float(ode_max)}",
-    ]
-    _emit(args, doc, lines)
+    doc = {
+        "c": [args.c1, args.c2, args.c3, args.c4],
+        "n": args.n,
+        "h": args.h,
+        "grid_side": args.grid_side,
+        **results,
+    }
+    _emit(args, doc, _lines(results, list(results)))
     return 0
 
 
@@ -268,7 +255,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PolynomialSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

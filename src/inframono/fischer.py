@@ -28,7 +28,7 @@ denominator; polynomials appear only at its input and output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -429,13 +429,6 @@ class DecompositionChecks:
     def all_ok(self) -> bool:
         return self.reconstruction and self.sandwich_zero and self.orthogonal
 
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "reconstruction": self.reconstruction,
-            "sandwich_zero": self.sandwich_zero,
-            "orthogonal": self.orthogonal,
-        }
-
 
 # Sector-local integer coordinates: entry v lists the numerators of sector v.
 SectorVector = list[list[int]]
@@ -466,7 +459,9 @@ def _split(
     Returns (infra, quotient, den, checks).  The flags are evaluated on the
     integers: den vec = infra + T quotient, S infra = 0, and T^t W infra = 0,
     i.e. the Fischer pairing of infra with x b x for every basis element b
-    of P(k-2).
+    of P(k-2).  Since infra is defined as den vec - T quotient, the
+    reconstruction flag holds for every T and quotient and cannot come out
+    False; the other two flags test the solve.
     """
     den, inverses = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
@@ -497,13 +492,10 @@ def _split(
     return infra, quotient, den, DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """One splitting step P = infra_part + x quotient x on a fixed degree."""
+class _Splitting:
+    """What a single split and a tower share: m, k and the JSON document."""
 
     input: CliffordPolynomial
-    infra_part: CliffordPolynomial
-    quotient: CliffordPolynomial
     checks: DecompositionChecks
 
     @property
@@ -514,16 +506,29 @@ class DecompositionResult:
     def k(self) -> int:
         return self.input.degree() or 0
 
-    def to_json_dict(self) -> dict:
+    def _document(self, infra: CliffordPolynomial, quotient: CliffordPolynomial, layers) -> dict:
         return {
             "m": self.m,
             "k": self.k,
             "input": str(self.input),
-            "infra": str(self.infra_part),
-            "quotient": str(self.quotient),
-            "layers": [],
-            "checks": self.checks.as_dict(),
+            "infra": str(infra),
+            "quotient": str(quotient),
+            "layers": [{"s": layer.s, "component": str(layer.component)} for layer in layers],
+            "checks": asdict(self.checks),
         }
+
+
+@dataclass(frozen=True)
+class DecompositionResult(_Splitting):
+    """One splitting step P = infra_part + x quotient x on a fixed degree."""
+
+    input: CliffordPolynomial
+    infra_part: CliffordPolynomial
+    quotient: CliffordPolynomial
+    checks: DecompositionChecks
+
+    def to_json_dict(self) -> dict:
+        return self._document(self.infra_part, self.quotient, ())
 
 
 def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
@@ -532,7 +537,11 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     Degrees 0 and 1 are wholly inframonogenic and return a zero quotient.
     The result carries exact verification flags: reconstruction,
     sandwich(infra_part) = 0, and orthogonality of infra_part against
-    every embedded basis element of the quotient space.
+    every embedded basis element of the quotient space.  Reconstruction is
+    an identity of the integer solve (see `_split`) and is always True.
+    The returned polynomials are checked outside this function:
+    tests/test_fischer.py, acceptance criteria 1 and 3 and every benchmark
+    operation rebuild p from them (``infra_part + wrap_x(quotient) == p``).
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
@@ -556,21 +565,13 @@ class TowerLayer:
 
 
 @dataclass(frozen=True)
-class FischerTower:
+class FischerTower(_Splitting):
     """Complete splitting P = sum_s x^s L_s x^s with every L_s inframonogenic."""
 
     input: CliffordPolynomial
     layers: tuple[TowerLayer, ...]
     first_quotient: CliffordPolynomial
     checks: DecompositionChecks
-
-    @property
-    def m(self) -> int:
-        return self.input.dim
-
-    @property
-    def k(self) -> int:
-        return self.input.degree() or 0
 
     def reconstruct(self) -> CliffordPolynomial:
         total = CliffordPolynomial.zero(self.input.dim)
@@ -579,22 +580,16 @@ class FischerTower:
         return total
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "input": str(self.input),
-            "infra": str(self.layers[0].component),
-            "quotient": str(self.first_quotient),
-            "layers": [{"s": layer.s, "component": str(layer.component)} for layer in self.layers],
-            "checks": self.checks.as_dict(),
-        }
+        return self._document(self.layers[0].component, self.first_quotient, self.layers)
 
 
 def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers.
 
     The flags: the layers rebuild p (Horner's rule with T on the integers),
-    every layer is inframonogenic, and the first split is orthogonal.
+    every layer is inframonogenic, and the first split is orthogonal.  The
+    Horner check undoes the tower's own integer recursion, so like the
+    reconstruction flag of `_split` it is always True.
     """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")

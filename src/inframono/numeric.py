@@ -9,7 +9,7 @@ side cannot disagree with the exact side about orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ from .polynomials import CliffordPolynomial
 
 Point = Sequence[float]
 Field = Callable[[Point], "NumericMultivector"]
+_Stencil = Callable[[Field, Point, float], "NumericMultivector"]
 
 
 class NumericMultivector:
@@ -61,21 +62,20 @@ class NumericMultivector:
     def __truediv__(self, factor: float) -> "NumericMultivector":
         return NumericMultivector(self.dim, self.values / factor)
 
-    def mul_blade_left(self, mask: int) -> "NumericMultivector":
-        """e_mask * self, with signs from the exact blade tables."""
+    def _mul_blade(self, mask: int, left: bool) -> "NumericMultivector":
         out = np.zeros_like(self.values)
         for b, v in enumerate(self.values):
             if v:
-                out[mask ^ b] += blade_sign(mask, b) * v
+                out[mask ^ b] += (blade_sign(mask, b) if left else blade_sign(b, mask)) * v
         return NumericMultivector(self.dim, out)
+
+    def mul_blade_left(self, mask: int) -> "NumericMultivector":
+        """e_mask * self, with signs from the exact blade tables."""
+        return self._mul_blade(mask, left=True)
 
     def mul_blade_right(self, mask: int) -> "NumericMultivector":
         """self * e_mask, with signs from the exact blade tables."""
-        out = np.zeros_like(self.values)
-        for b, v in enumerate(self.values):
-            if v:
-                out[b ^ mask] += blade_sign(b, mask) * v
-        return NumericMultivector(self.dim, out)
+        return self._mul_blade(mask, left=False)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -122,17 +122,28 @@ def _shifted(point: Point, moves: dict[int, float]) -> list[float]:
     return out
 
 
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h}")
+
+
+def _second_difference(
+    f: Field, point: Point, center: NumericMultivector, i: int, h: float
+) -> NumericMultivector:
+    """Central 3-point second difference along axis i."""
+    plus = f(_shifted(point, {i: h}))
+    minus = f(_shifted(point, {i: -h}))
+    return (plus - center * 2.0 + minus) / (h * h)
+
+
 def fd_hessian(f: Field, point: Point, h: float) -> list[list[NumericMultivector]]:
     """Central-difference Hessian: 3-point pure and 4-point mixed stencils."""
-    if h <= 0:
-        raise ValueError("step must be positive")
+    _check_step(h)
     center = f(list(map(float, point)))
     m = center.dim
     hess: list[list[NumericMultivector | None]] = [[None] * m for _ in range(m)]
     for i in range(m):
-        plus = f(_shifted(point, {i: h}))
-        minus = f(_shifted(point, {i: -h}))
-        hess[i][i] = (plus - center * 2.0 + minus) / (h * h)
+        hess[i][i] = _second_difference(f, point, center, i, h)
     for i in range(m):
         for j in range(i + 1, m):
             pp = f(_shifted(point, {i: h, j: h}))
@@ -158,15 +169,12 @@ def fd_sandwich(f: Field, point: Point, h: float) -> NumericMultivector:
 
 def fd_laplacian(f: Field, point: Point, h: float) -> NumericMultivector:
     """Finite-difference Laplacian: sum of the pure second differences."""
-    if h <= 0:
-        raise ValueError("step must be positive")
+    _check_step(h)
     center = f(list(map(float, point)))
     m = center.dim
     total = NumericMultivector(m)
     for i in range(m):
-        plus = f(_shifted(point, {i: h}))
-        minus = f(_shifted(point, {i: -h}))
-        total = total + (plus - center * 2.0 + minus) / (h * h)
+        total = total + _second_difference(f, point, center, i, h)
     return total
 
 
@@ -190,40 +198,34 @@ class TrigExpFamily:
     c4: float
     n: float
 
-    # x1-profiles and their closed-form derivatives
-    def alpha(self, x1: float) -> float:
-        return (self.c1 + self.c2 * x1) * math.exp(self.n * x1) + (
-            self.c3 + self.c4 * x1
-        ) * math.exp(-self.n * x1)
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
 
-    def alpha_d1(self, x1: float) -> float:
-        ep, em = math.exp(self.n * x1), math.exp(-self.n * x1)
-        return (self.c2 + self.n * (self.c1 + self.c2 * x1)) * ep + (
-            self.c4 - self.n * (self.c3 + self.c4 * x1)
-        ) * em
+    def _profiles(self, x1: float, order: int) -> tuple[float, float]:
+        """d^order/dx1^order of (c1 + c2 x1) exp(n x1) and of (c3 + c4 x1) exp(-n x1)."""
+        n = self.n
+        up, down = self.c1 + self.c2 * x1, self.c3 + self.c4 * x1
+        ep, em = math.exp(n * x1), math.exp(-n * x1)
+        if order == 0:
+            return up * ep, down * em
+        if order == 1:
+            return (self.c2 + n * up) * ep, (self.c4 - n * down) * em
+        if order == 2:
+            return (2 * n * self.c2 + n**2 * up) * ep, (-2 * n * self.c4 + n**2 * down) * em
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
 
-    def alpha_d2(self, x1: float) -> float:
-        ep, em = math.exp(self.n * x1), math.exp(-self.n * x1)
-        return (2 * self.n * self.c2 + self.n**2 * (self.c1 + self.c2 * x1)) * ep + (
-            -2 * self.n * self.c4 + self.n**2 * (self.c3 + self.c4 * x1)
-        ) * em
+    def alpha(self, x1: float, order: int = 0) -> float:
+        """The f1 profile, or its order-th derivative in x1."""
+        up, down = self._profiles(x1, order)
+        return up + down
 
-    def beta(self, x1: float) -> float:
-        return (self.c3 + self.c4 * x1) * math.exp(-self.n * x1) - (
-            self.c1 + self.c2 * x1
-        ) * math.exp(self.n * x1)
-
-    def beta_d1(self, x1: float) -> float:
-        ep, em = math.exp(self.n * x1), math.exp(-self.n * x1)
-        return (self.c4 - self.n * (self.c3 + self.c4 * x1)) * em - (
-            self.c2 + self.n * (self.c1 + self.c2 * x1)
-        ) * ep
-
-    def beta_d2(self, x1: float) -> float:
-        ep, em = math.exp(self.n * x1), math.exp(-self.n * x1)
-        return (-2 * self.n * self.c4 + self.n**2 * (self.c3 + self.c4 * x1)) * em - (
-            2 * self.n * self.c2 + self.n**2 * (self.c1 + self.c2 * x1)
-        ) * ep
+    def beta(self, x1: float, order: int = 0) -> float:
+        """The f2 profile, or its order-th derivative in x1."""
+        up, down = self._profiles(x1, order)
+        return down - up
 
     def f1(self, x1: float, x2: float) -> float:
         return self.alpha(x1) * math.cos(self.n * x2)
@@ -252,8 +254,8 @@ def ode_system_residual(family: TrigExpFamily, x1: float) -> tuple[float, float]
     profiles solve both, so the residuals vanish to rounding error.
     """
     n = family.n
-    r_alpha = family.alpha_d2(x1) + n * n * family.alpha(x1) + 2 * n * family.beta_d1(x1)
-    r_beta = family.beta_d2(x1) + n * n * family.beta(x1) + 2 * n * family.alpha_d1(x1)
+    r_alpha = family.alpha(x1, 2) + n * n * family.alpha(x1) + 2 * n * family.beta(x1, 1)
+    r_beta = family.beta(x1, 2) + n * n * family.beta(x1) + 2 * n * family.alpha(x1, 1)
     return (r_alpha, r_beta)
 
 
@@ -262,6 +264,8 @@ def ode_system_residual(family: TrigExpFamily, x1: float) -> tuple[float, float]
 
 def grid_points(side: int = 5, lo: float = -1.0, hi: float = 1.0) -> list[tuple[float, float]]:
     """side x side lattice covering [lo, hi]^2, corners included."""
+    if side < 1:
+        raise ValueError(f"grid side must be at least 1, got {side}")
     axis = np.linspace(lo, hi, side)
     return [(float(a), float(b)) for a in axis for b in axis]
 
@@ -278,22 +282,25 @@ class GridScan:
         return self.max_residual / self.max_field if self.max_field else self.max_residual
 
 
-def sandwich_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
+def _scan(stencil: _Stencil, f: Field, grid: Sequence[Point], h: float) -> GridScan:
+    """Grid maxima of the stencil residual and of |f|; a non-finite residual raises."""
     worst = 0.0
     scale = 0.0
     for point in grid:
-        worst = max(worst, fd_sandwich(f, point, h).max_abs())
+        residual = stencil(f, point, h).max_abs()
+        if not math.isfinite(residual):
+            raise ValueError(f"non-finite residual {residual} at grid point {tuple(point)}")
+        worst = max(worst, residual)
         scale = max(scale, f(list(map(float, point))).max_abs())
     return GridScan(worst, scale)
+
+
+def sandwich_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
+    return _scan(fd_sandwich, f, grid, h)
 
 
 def laplacian_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
-    worst = 0.0
-    scale = 0.0
-    for point in grid:
-        worst = max(worst, fd_laplacian(f, point, h).max_abs())
-        scale = max(scale, f(list(map(float, point))).max_abs())
-    return GridScan(worst, scale)
+    return _scan(fd_laplacian, f, grid, h)
 
 
 def family_harmonicity_scan(

@@ -18,20 +18,23 @@ from .algebra import Multivector
 from .polynomials import CliffordPolynomial, mul_by_x_left, mul_by_x_right
 
 
-def dirac_left(p: CliffordPolynomial) -> CliffordPolynomial:
-    """Left Dirac action: sum_j e_j (d/dx_j p)."""
+def _dirac(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
     total = CliffordPolynomial.zero(p.dim)
     for j in range(1, p.dim + 1):
-        total = total + p.partial(j).mul_left(Multivector.basis_vector(p.dim, j))
+        e_j = Multivector.basis_vector(p.dim, j)
+        d_j = p.partial(j)
+        total = total + (d_j.mul_left(e_j) if left else d_j.mul_right(e_j))
     return total
+
+
+def dirac_left(p: CliffordPolynomial) -> CliffordPolynomial:
+    """Left Dirac action: sum_j e_j (d/dx_j p)."""
+    return _dirac(p, left=True)
 
 
 def dirac_right(p: CliffordPolynomial) -> CliffordPolynomial:
     """Right Dirac action: sum_j (d/dx_j p) e_j."""
-    total = CliffordPolynomial.zero(p.dim)
-    for j in range(1, p.dim + 1):
-        total = total + p.partial(j).mul_right(Multivector.basis_vector(p.dim, j))
-    return total
+    return _dirac(p, left=False)
 
 
 def sandwich(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -85,18 +88,13 @@ def is_k_monogenic(p: CliffordPolynomial, k: int, side: str = "both") -> bool:
         raise ValueError(f"order must be positive, got {k}")
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
-    if side in ("left", "both"):
-        q = p
-        for _ in range(k):
-            q = dirac_left(q)
-        if not q.is_zero():
-            return False
-    if side in ("right", "both"):
-        q = p
-        for _ in range(k):
-            q = dirac_right(q)
-        if not q.is_zero():
-            return False
+    for action_side, action in (("left", dirac_left), ("right", dirac_right)):
+        if side in (action_side, "both"):
+            q = p
+            for _ in range(k):
+                q = action(q)
+            if not q.is_zero():
+                return False
     return True
 
 

@@ -229,17 +229,19 @@ class CliffordPolynomial:
             return self * (Fraction(1) / factor)
         return NotImplemented
 
-    def mul_left(self, a: Multivector) -> "CliffordPolynomial":
-        """Constant multivector times the polynomial: a * p."""
+    def _mul_constant(self, a: Multivector, left: bool) -> "CliffordPolynomial":
         if a.dim != self._dim:
             raise ValueError(f"dimension mismatch: {self._dim} vs {a.dim}")
-        return CliffordPolynomial(self._dim, {m: a * c for m, c in self._terms.items()})
+        terms = {m: a * c if left else c * a for m, c in self._terms.items()}
+        return CliffordPolynomial(self._dim, terms)
+
+    def mul_left(self, a: Multivector) -> "CliffordPolynomial":
+        """Constant multivector times the polynomial: a * p."""
+        return self._mul_constant(a, left=True)
 
     def mul_right(self, a: Multivector) -> "CliffordPolynomial":
         """Polynomial times a constant multivector: p * a."""
-        if a.dim != self._dim:
-            raise ValueError(f"dimension mismatch: {self._dim} vs {a.dim}")
-        return CliffordPolynomial(self._dim, {m: c * a for m, c in self._terms.items()})
+        return self._mul_constant(a, left=False)
 
     # -- calculus ------------------------------------------------------------
 
@@ -334,34 +336,29 @@ def x_vector(m: int) -> CliffordPolynomial:
     return CliffordPolynomial(m, terms)
 
 
-def mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
-    """x * p, i.e. sum_j x_j (e_j p); raises degree by one."""
+def _mul_by_x(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
     m = p.dim
     terms: dict[Monomial, Multivector] = {}
     for mono, coeff in p.items():
         for j in range(m):
             raised = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-            value = Multivector.basis_vector(m, j + 1) * coeff
+            e_j = Multivector.basis_vector(m, j + 1)
+            value = e_j * coeff if left else coeff * e_j
             if raised in terms:
                 terms[raised] = terms[raised] + value
             else:
                 terms[raised] = value
     return CliffordPolynomial(m, terms)
+
+
+def mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
+    """x * p, i.e. sum_j x_j (e_j p); raises degree by one."""
+    return _mul_by_x(p, left=True)
 
 
 def mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
     """p * x, i.e. sum_j x_j (p e_j); raises degree by one."""
-    m = p.dim
-    terms: dict[Monomial, Multivector] = {}
-    for mono, coeff in p.items():
-        for j in range(m):
-            raised = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-            value = coeff * Multivector.basis_vector(m, j + 1)
-            if raised in terms:
-                terms[raised] = terms[raised] + value
-            else:
-                terms[raised] = value
-    return CliffordPolynomial(m, terms)
+    return _mul_by_x(p, left=False)
 
 
 def euler(p: CliffordPolynomial) -> CliffordPolynomial:

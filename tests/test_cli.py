@@ -8,6 +8,7 @@ import pytest
 from inframono.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FAMILY = ("family", "--c1", "1", "--c2", "0", "--c3", "1", "--c4", "0", "--n", "2")
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,30 @@ class TestExitCodes:
     def test_missing_input_is_one(self, capsys):
         code, _, err = run_cli(capsys, "inner", "--m", "2", "x1^2")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--h", "nan"), "step"),
+            (("--c1", "nan", "--format", "json"), "c1 must be finite"),
+            (("--grid-side", "0"), "got 0"),
+            (("--grid-side", "-2"), "got -2"),
+        ],
+    )
+    def test_family_bad_numbers_are_one(self, capsys, extra, message):
+        # a repeated option overrides the earlier one
+        code, out, err = run_cli(capsys, *FAMILY, *extra)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_family_overflow_is_one(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "inframono", *FAMILY, "--n", "800"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_missing_file_is_one(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--m", "2", "--file", "/nonexistent/path.txt")

@@ -11,6 +11,7 @@ from inframono.numeric import (
     TrigExpFamily,
     family_eval,
     family_harmonicity_scan,
+    fd_hessian,
     fd_laplacian,
     fd_sandwich,
     grid_points,
@@ -67,6 +68,14 @@ class TestFamilyEval:
         x2 = math.pi / (2 * fam.n)
         assert fam.f1(0.7, x2) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(5))
+    def test_non_finite_parameters_rejected(self, slot, bad):
+        params = [1.0, 0.0, 1.0, 0.0, 2.0]
+        params[slot] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TrigExpFamily(*params)
+
     def test_zero_parameters(self):
         fam = TrigExpFamily(0, 0, 0, 0, 1.5)
         assert family_eval(fam, 0.3, -0.8).max_abs() == 0.0
@@ -109,6 +118,13 @@ class TestStencils:
         f = polynomial_function(CliffordPolynomial.monomial(2, (2, 0), 1))
         with pytest.raises(ValueError):
             fd_sandwich(f, (0, 0), 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-4])
+    @pytest.mark.parametrize("stencil", [fd_hessian, fd_sandwich, fd_laplacian])
+    def test_non_finite_or_negative_step(self, stencil, h):
+        f = polynomial_function(CliffordPolynomial.monomial(2, (2, 0), 1))
+        with pytest.raises(ValueError, match="step"):
+            stencil(f, (0, 0), h)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_halving_factor_on_quartics(self, seed):
@@ -156,6 +172,25 @@ class TestFamilyScans:
         scan = laplacian_scan(polynomial_function(p), [(0.2, 0.1), (0.1, -0.25)], 1e-4)
         assert scan.max_residual <= 1e-8
 
+    @pytest.mark.parametrize("scan", [sandwich_scan, laplacian_scan])
+    def test_non_finite_residual_is_an_error(self, scan):
+        # max() would keep the running maximum past a NaN and report a pass
+        def field(point):
+            value = math.nan if point[0] > 0.5 else 1.0
+            return NumericMultivector(2, [value, 0.0, 0.0, 0.0])
+
+        with pytest.raises(ValueError, match="non-finite residual"):
+            scan(field, grid_points(3), 1e-4)
+
+    def test_nan_step_is_an_error(self):
+        with pytest.raises(ValueError, match="step"):
+            sandwich_scan(TrigExpFamily(1, 0, 1, 0, 2), grid_points(3), math.nan)
+
+    @pytest.mark.parametrize("side", [0, -2])
+    def test_grid_side_must_be_positive(self, side):
+        with pytest.raises(ValueError, match=f"got {side}"):
+            grid_points(side)
+
     def test_scan_reports_field_scale(self):
         scan = sandwich_scan(TrigExpFamily(1, 0, 1, 0, 1), grid_points(3), 1e-4)
         assert isinstance(scan, GridScan)
@@ -178,6 +213,17 @@ class TestOdeResiduals:
                 r_alpha, r_beta = ode_system_residual(fam, x1)
                 assert abs(r_alpha) <= 1e-10
                 assert abs(r_beta) <= 1e-10
+
+    def test_profile_derivatives_match_differences(self):
+        fam = TrigExpFamily(1.0, 0.8, -0.6, 0.5, 2.0)
+        h = 1e-5
+        for profile in (fam.alpha, fam.beta):
+            for order in (1, 2):
+                for x1 in (-0.5, 0.25):
+                    slope = (profile(x1 + h, order - 1) - profile(x1 - h, order - 1)) / (2 * h)
+                    assert profile(x1, order) == pytest.approx(slope, rel=1e-6)
+        with pytest.raises(ValueError):
+            fam.alpha(0.0, 3)
 
     def test_zero_parameters_are_exact(self):
         fam = TrigExpFamily(0, 0, 0, 0, 2.0)
