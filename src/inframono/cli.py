@@ -61,6 +61,9 @@ def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
 
 
 def _read_polynomials(args: argparse.Namespace, expected: int | None) -> list[CliffordPolynomial]:
+    if args.file is not None and args.polynomial:
+        given = ", ".join(map(repr, args.polynomial))
+        raise ValueError(f"got both --file {args.file} and argument(s) {given}; give one")
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as handle:
             texts = [line.strip() for line in handle if line.strip()]

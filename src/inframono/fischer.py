@@ -20,9 +20,11 @@ even at m = 4, k = 6.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
-as sparse integer columns, straight from exponents and blade signs, and
-the decomposition runs on integer coordinate vectors over one common
-denominator; polynomials appear only at its input and output.
+as sparse integer columns, straight from exponents and blade signs.  A
+splitting step reads its input's terms straight into sector-local
+integer coordinates over one common denominator, solves there, and
+writes the two parts back as polynomials.  The complete decomposition
+P(k) = sum_s x^s I(k-2s) x^s is that step applied again to each quotient.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from . import linalg
-from .algebra import Multivector, blade_sign, blades_in_order
+from .algebra import Multivector, _as_fraction, blade_sign, blades_in_order
 from .operators import (
     dirac_left,
     dirac_right,
@@ -66,32 +68,78 @@ def poly_basis(m: int, k: int) -> tuple[tuple[Monomial, int], ...]:
     return tuple((mono, mask) for mono in monomial_basis(m, k) for mask in blades)
 
 
+def _parity(mono: Monomial) -> int:
+    return sum(1 << j for j, e in enumerate(mono) if e & 1)
+
+
 @lru_cache(maxsize=None)
-def _basis_index(m: int, k: int) -> dict[tuple[Monomial, int], int]:
-    return {pair: i for i, pair in enumerate(poly_basis(m, k))}
+def _monomial_table(m: int, k: int) -> tuple[dict[Monomial, int], tuple[tuple[Monomial, int], ...]]:
+    """Index of each degree-k monomial, and (monomial, parity) by index."""
+    monos = monomial_basis(m, k)
+    return {a: i for i, a in enumerate(monos)}, tuple((a, _parity(a)) for a in monos)
+
+
+@lru_cache(maxsize=None)
+def _sector_positions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Positions in `poly_basis` of sector v's basis elements, indexed by v.
+
+    Sector v holds one basis element per monomial a, with blade
+    v xor parity(a); its local coordinate index is the monomial's index.
+    """
+    n = 1 << m
+    slot = {mask: i for i, mask in enumerate(blades_in_order(m))}
+    table = _monomial_table(m, k)[1]
+    return tuple(tuple(i * n + slot[v ^ par] for i, (_, par) in enumerate(table)) for v in range(n))
+
+
+# Sector-local integer coordinates: entry v lists the numerators of sector v.
+SectorVector = list[list[int]]
+
+
+def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
+    """Numerators of a degree-k p's coordinates by sector, and their common denominator."""
+    index, table = _monomial_table(p.dim, k)
+    den = lcm(*(value.denominator for _, coeff in p.items() for _, value in coeff.items()))
+    vec = [[0] * len(table) for _ in range(1 << p.dim)]
+    for mono, coeff in p.items():
+        i = index[mono]
+        for mask, value in coeff.items():
+            vec[table[i][1] ^ mask][i] = value.numerator * (den // value.denominator)
+    return vec, den
+
+
+def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolynomial:
+    """The polynomial with coordinates vec / den.
+
+    Numerators may be Fractions; entries a short sector or sector list omits are zero.
+    """
+    table = _monomial_table(m, k)[1]
+    terms: dict[Monomial, dict[int, Fraction]] = {}
+    for v, values in enumerate(vec):
+        for (mono, par), x in zip(table, values):
+            if x:
+                terms.setdefault(mono, {})[v ^ par] = Fraction(x, den)
+    return CliffordPolynomial(m, {mono: Multivector(m, tm) for mono, tm in terms.items()})
 
 
 def coords(p: CliffordPolynomial, k: int) -> list[Fraction]:
     """Coordinate vector of a homogeneous degree-k polynomial (zero allowed)."""
     if not p.is_homogeneous(k):
         raise ValueError(f"polynomial is not homogeneous of degree {k}")
-    index = _basis_index(p.dim, k)
-    vec = [Fraction(0)] * len(index)
-    for mono, coeff in p.items():
-        for mask, value in coeff.items():
-            vec[index[(mono, mask)]] = value
-    return vec
+    vec, den = _sector_coords(p, k)
+    flat = [Fraction(0)] * space_dim(p.dim, k)
+    for positions, values in zip(_sector_positions(p.dim, k), vec):
+        for pos, x in zip(positions, values):
+            flat[pos] = Fraction(x, den)
+    return flat
 
 
 def from_coords(m: int, k: int, vec: list[Fraction]) -> CliffordPolynomial:
-    basis = poly_basis(m, k)
-    if len(vec) != len(basis):
-        raise ValueError(f"expected {len(basis)} coordinates, got {len(vec)}")
-    terms: dict[Monomial, dict[int, Fraction]] = {}
-    for value, (mono, mask) in zip(vec, basis):
-        if value:
-            terms.setdefault(mono, {})[mask] = value
-    return CliffordPolynomial(m, {mono: Multivector(m, tm) for mono, tm in terms.items()})
+    size = space_dim(m, k)
+    if len(vec) != size:
+        raise ValueError(f"expected {size} coordinates, got {len(vec)}")
+    sectors = [[_as_fraction(vec[i]) for i in at] for at in _sector_positions(m, k)]
+    return _from_sectors(m, k, sectors, 1)
 
 
 # -- Fischer inner product -----------------------------------------------------
@@ -220,23 +268,6 @@ _COMPOSITES = {"sandwich": ("dirac_left", "dirac_right"), "wrap_x": ("x_right", 
 SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _parity(mono: Monomial) -> int:
-    return sum(1 << j for j, e in enumerate(mono) if e & 1)
-
-
-@lru_cache(maxsize=None)
-def _sector_positions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Basis positions of P(k) in sector v, indexed by v, in monomial order.
-
-    Sector v holds one basis element per monomial a, with blade
-    v xor parity(a); its local coordinate index is the monomial's index.
-    """
-    n = 1 << m
-    slot = {mask: i for i, mask in enumerate(blades_in_order(m))}
-    parities = [_parity(a) for a in monomial_basis(m, k)]
-    return tuple(tuple(i * n + slot[v ^ par] for i, par in enumerate(parities)) for v in range(n))
-
-
 def _primitive_term(op: str, a: Monomial, mask: int, j: int) -> tuple[Monomial, int] | None:
     """The axis-j term of op(x^a e_mask): its monomial and integer coefficient."""
     e = a[j]
@@ -291,17 +322,16 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
             blocks = part if blocks is None else _compose(blocks, part)
             k += _DEGREE_SHIFT[step]
         return blocks
-    monos = monomial_basis(m, k_in)
+    table = _monomial_table(m, k_in)[1]
     k_out = k_in + _DEGREE_SHIFT[op]
     if k_out < 0:
-        return tuple(tuple(() for _ in monos) for _ in range(1 << m))
-    row = {mono: i for i, mono in enumerate(monomial_basis(m, k_out))}
+        return tuple(tuple(() for _ in table) for _ in range(1 << m))
+    row = _monomial_table(m, k_out)[0]
     out = []
     for v in range(1 << m):
         block = []
-        for a in monos:
-            mask = v ^ _parity(a)
-            terms = (_primitive_term(op, a, mask, j) for j in range(m))
+        for a, par in table:
+            terms = (_primitive_term(op, a, v ^ par, j) for j in range(m))
             block.append(tuple(sorted((row[b], x) for b, x in filter(None, terms))))
         out.append(tuple(block))
     return tuple(out)
@@ -430,68 +460,6 @@ class DecompositionChecks:
         return self.reconstruction and self.sandwich_zero and self.orthogonal
 
 
-# Sector-local integer coordinates: entry v lists the numerators of sector v.
-SectorVector = list[list[int]]
-
-
-def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
-    """Numerators of p's coordinates by sector, and their common denominator."""
-    vec = coords(p, k)
-    den = lcm(*(x.denominator for x in vec if x))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
-    return [[ints[pos] for pos in positions] for positions in _sector_positions(p.dim, k)], den
-
-
-def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolynomial:
-    flat: list[int | Fraction] = [0] * space_dim(m, k)
-    for positions, values in zip(_sector_positions(m, k), vec):
-        for pos, x in zip(positions, values):
-            if x:
-                flat[pos] = Fraction(x, den)
-    return from_coords(m, k, flat)
-
-
-def _split(
-    m: int, k: int, vec: SectorVector
-) -> tuple[SectorVector, SectorVector, int, DecompositionChecks]:
-    """Split c = vec / d of degree k >= 2 as (infra + T quotient) / (den d).
-
-    Returns (infra, quotient, den, checks).  The flags are evaluated on the
-    integers: den vec = infra + T quotient, S infra = 0, and T^t W infra = 0,
-    i.e. the Fischer pairing of infra with x b x for every basis element b
-    of P(k-2).  Since infra is defined as den vec - T quotient, the
-    reconstruction flag holds for every T and quotient and cannot come out
-    False; the other two flags test the solve.
-    """
-    den, inverses = _composition_solver(m, k)
-    n_low = monomial_count(m, k - 2)
-    weights = _weights(m, k)
-    infra: SectorVector = []
-    quotient: SectorVector = []
-    reconstruction = sandwich_zero = orthogonal = True
-    for c, s_cols, t_cols, inverse in zip(
-        vec, sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2), inverses
-    ):
-        if not any(c):
-            infra.append(c)
-            quotient.append([0] * n_low)
-            continue
-        rhs = _apply(s_cols, c, n_low)
-        q = linalg.mat_vec(inverse, rhs) if any(rhs) else [0] * n_low
-        tq = _apply(t_cols, q, len(c))
-        inf = [den * x - y for x, y in zip(c, tq)]
-        reconstruction = reconstruction and all(
-            x + y == den * z for x, y, z in zip(inf, tq, c)
-        )
-        sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
-        if orthogonal:
-            weighted = [w * x for w, x in zip(weights, inf)]
-            orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
-        infra.append(inf)
-        quotient.append(q)
-    return infra, quotient, den, DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
-
-
 class _Splitting:
     """What a single split and a tower share: m, k and the JSON document."""
 
@@ -535,11 +503,14 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     """Split a homogeneous p as infra_part + x quotient x, exactly.
 
     Degrees 0 and 1 are wholly inframonogenic and return a zero quotient.
-    The result carries exact verification flags: reconstruction,
-    sandwich(infra_part) = 0, and orthogonality of infra_part against
-    every embedded basis element of the quotient space.  Reconstruction is
-    an identity of the integer solve (see `_split`) and is always True.
-    The returned polynomials are checked outside this function:
+    Above that, p's integer coordinates c are split per sector as
+    den c = infra + T quotient, with quotient = (S T)^-1 S den c, and the
+    flags are evaluated on those integers: reconstruction, S infra = 0,
+    and T^t W infra = 0, i.e. the Fischer pairing of infra with x b x for
+    every basis element b of P(k-2).  Since infra is defined as
+    den c - T quotient, reconstruction holds for every T and quotient and
+    cannot come out False; the other two flags test the solve.  The
+    returned polynomials are checked outside this function:
     tests/test_fischer.py, acceptance criteria 1 and 3 and every benchmark
     operation rebuild p from them (``infra_part + wrap_x(quotient) == p``).
     """
@@ -551,8 +522,34 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
         zero = CliffordPolynomial.zero(m)
         return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
     vec, den = _sector_coords(p, k)
-    infra, quotient, step_den, checks = _split(m, k, vec)
-    den *= step_den
+    solver_den, inverses = _composition_solver(m, k)
+    n_low = monomial_count(m, k - 2)
+    weights = _weights(m, k)
+    infra: SectorVector = []
+    quotient: SectorVector = []
+    reconstruction = sandwich_zero = orthogonal = True
+    for c, s_cols, t_cols, inverse in zip(
+        vec, sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2), inverses
+    ):
+        if not any(c):
+            infra.append(c)
+            quotient.append([0] * n_low)
+            continue
+        rhs = _apply(s_cols, c, n_low)
+        q = linalg.mat_vec(inverse, rhs) if any(rhs) else [0] * n_low
+        tq = _apply(t_cols, q, len(c))
+        inf = [solver_den * x - y for x, y in zip(c, tq)]
+        reconstruction = reconstruction and all(
+            x + y == solver_den * z for x, y, z in zip(inf, tq, c)
+        )
+        sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
+        if orthogonal:
+            weighted = [w * x for w, x in zip(weights, inf)]
+            orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
+        infra.append(inf)
+        quotient.append(q)
+    den *= solver_den
+    checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
     return DecompositionResult(
         p, _from_sectors(m, k, infra, den), _from_sectors(m, k - 2, quotient, den), checks
     )
@@ -586,52 +583,24 @@ class FischerTower(_Splitting):
 def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers.
 
-    The flags: the layers rebuild p (Horner's rule with T on the integers),
-    every layer is inframonogenic, and the first split is orthogonal.  The
-    Horner check undoes the tower's own integer recursion, so like the
-    reconstruction flag of `_split` it is always True.
+    Step 0 is `fischer_decompose(p)` and step s+1 decomposes step s's
+    quotient; layer s is step s's infra part.  The reconstruction and
+    sandwich_zero flags are the AND over all steps, and orthogonality is
+    step 0's.  Like the steps' own reconstruction flags, the tower's holds
+    by construction.
     """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")
-    m = p.dim
-    k = p.degree() or 0
-    if k < 2:
-        zero = CliffordPolynomial.zero(m)
-        return FischerTower(p, (TowerLayer(0, p),), zero, DecompositionChecks(True, True, True))
-    vec, den = _sector_coords(p, k)
-    parts: list[tuple[SectorVector, int]] = []  # layer s: numerators over a denominator
-    step_checks: list[DecompositionChecks] = []
-    current, current_den = vec, den
-    for s in range(k // 2):
-        infra, current, step_den, checks = _split(m, k - 2 * s, current)
-        current_den *= step_den
-        if s == 0:
-            first_quotient = _from_sectors(m, k - 2, current, current_den)
-        parts.append((infra, current_den))
-        step_checks.append(checks)
-    parts.append((current, current_den))
-
-    # Each layer's denominator divides the next one's, and the last is the largest.
-    total = current
-    for s in range(k // 2 - 1, -1, -1):
-        layer, layer_den = parts[s]
-        factor = current_den // layer_den
-        lifted = zip(layer, sector_operator("wrap_x", m, k - 2 * s - 2), total)
-        total = [
-            [factor * x + y for x, y in zip(part, _apply(cols, below, len(part)))]
-            for part, cols, below in lifted
-        ]
-    factor = current_den // den
-    reconstruction = total == [[factor * x for x in c] for c in vec]
-
-    layers = tuple(
-        TowerLayer(s, _from_sectors(m, k - 2 * s, numerators, layer_den))
-        for s, (numerators, layer_den) in enumerate(parts)
-    )
+    steps = [fischer_decompose(p)]
+    for _ in range((p.degree() or 0) // 2):
+        steps.append(fischer_decompose(steps[-1].quotient))
     checks = DecompositionChecks(
-        reconstruction, all(c.sandwich_zero for c in step_checks), step_checks[0].orthogonal
+        all(step.checks.reconstruction for step in steps),
+        all(step.checks.sandwich_zero for step in steps),
+        steps[0].checks.orthogonal,
     )
-    return FischerTower(p, layers, first_quotient, checks)
+    layers = tuple(TowerLayer(s, step.infra_part) for s, step in enumerate(steps))
+    return FischerTower(p, layers, steps[0].quotient, checks)
 
 
 # -- Almansi splitting ------------------------------------------------------------
@@ -727,17 +696,19 @@ def kernel_basis(
         raise ValueError(f"unknown kernel kind {kind!r}")
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
+    if grade is not None and not 0 <= grade <= m:
+        raise ValueError(f"grade must be in 0..{m} for m = {m}, got {grade}")
     operators = [
         (sector_operator(op, m, k), monomial_count(m, k + _DEGREE_SHIFT[op]))
         for op in _KERNEL_OPERATORS[kind]
         if k + _DEGREE_SHIFT[op] >= 0
     ]
-    parities = [_parity(a) for a in monomial_basis(m, k)]
-    size = space_dim(m, k)
+    table = _monomial_table(m, k)[1]
     out: list[CliffordPolynomial] = []
-    for v, positions in enumerate(_sector_positions(m, k)):
+    for v in range(1 << m):
         keep = [
-            i for i, par in enumerate(parities) if grade is None or bin(v ^ par).count("1") == grade
+            i for i, (_, par) in enumerate(table)
+            if grade is None or bin(v ^ par).count("1") == grade
         ]
         if not keep:
             continue
@@ -747,10 +718,10 @@ def kernel_basis(
         else:
             vectors = [[int(i == j) for j in range(len(keep))] for i in range(len(keep))]
         for vec in vectors:
-            flat: list[int | Fraction] = [0] * size
+            local = [0] * len(table)
             for value, i in zip(vec, keep):
-                flat[positions[i]] = value
-            out.append(from_coords(m, k, flat))
+                local[i] = value
+            out.append(_from_sectors(m, k, [[]] * v + [local], 1))
     return tuple(out)
 
 

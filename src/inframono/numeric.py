@@ -310,5 +310,7 @@ def family_harmonicity_scan(
     tol: float = 1e-6,
 ) -> tuple[bool, GridScan]:
     """Harmonic verdict: grid maximum of the numeric Laplacian within tol."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     scan = laplacian_scan(family, grid if grid is not None else grid_points(), h)
     return (scan.max_residual <= tol, scan)

@@ -169,6 +169,8 @@ class TestExitCodes:
             (("--c1", "nan", "--format", "json"), "c1 must be finite"),
             (("--grid-side", "0"), "got 0"),
             (("--grid-side", "-2"), "got -2"),
+            (("--tol", "nan"), "tolerance must be finite and non-negative, got nan"),
+            (("--tol", "-1"), "tolerance must be finite and non-negative, got -1.0"),
         ],
     )
     def test_family_bad_numbers_are_one(self, capsys, extra, message):
@@ -185,6 +187,13 @@ class TestExitCodes:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_file_and_positional_together_is_one(self, capsys, tmp_path):
+        path = tmp_path / "polys.txt"
+        path.write_text("x1^2\n")
+        code, out, err = run_cli(capsys, "decompose", "--m", "2", "--file", str(path), "x2^2")
+        assert code == 1 and out == ""
+        assert str(path) in err and "'x2^2'" in err
 
     def test_missing_file_is_one(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--m", "2", "--file", "/nonexistent/path.txt")

@@ -5,6 +5,7 @@ import pytest
 
 from inframono import (
     CliffordPolynomial,
+    DecompositionChecks,
     KernelSampler,
     Multivector,
     adjointness_report,
@@ -287,6 +288,33 @@ class TestTower:
                 assert sandwich(layer.component).is_zero()
             assert tower.checks.all_ok
 
+    def test_inframonogenic_input_has_zero_lower_layers(self):
+        p = CliffordPolynomial(2, {(4, 0): 1, (2, 2): -6, (0, 4): 1})
+        assert is_inframonogenic(p)
+        tower = fischer_tower(p)
+        assert [layer.s for layer in tower.layers] == [0, 1, 2]
+        assert tower.layers[0].component == p
+        assert tower.layers[1].component.is_zero() and tower.layers[2].component.is_zero()
+        assert tower.first_quotient.is_zero()
+        assert tower.checks == DecompositionChecks(True, True, True)
+
+    def test_layers_are_iterated_decompositions(self):
+        rng = random.Random(31)
+        for m in (1, 2, 3):
+            for k in range(7):
+                p = random_polynomial(rng, m, k, max_terms=5)
+                tower = fischer_tower(p)
+                step = fischer_decompose(p)
+                assert tower.first_quotient == step.quotient
+                for layer in tower.layers:
+                    assert layer.component == step.infra_part
+                    step = fischer_decompose(step.quotient)
+                assert step.infra_part.is_zero() and step.quotient.is_zero()
+
+    def test_non_homogeneous_rejected(self):
+        with pytest.raises(ValueError, match="homogeneous"):
+            fischer_tower(X1SQ + CliffordPolynomial.constant(2, 1))
+
 
 class TestAlmansi:
     def test_x1x2(self):
@@ -409,6 +437,13 @@ class TestKernelSampling:
             KernelSampler(3, 4, seed=99).inframonogenic() != c.inframonogenic()
             for _ in range(3)
         )
+
+    @pytest.mark.parametrize("grade", [-1, 3, 7])
+    def test_grade_out_of_range_rejected(self, grade):
+        with pytest.raises(ValueError, match=f"got {grade}"):
+            kernel_basis(2, 2, "harmonic", grade)
+        with pytest.raises(ValueError, match="m = 2"):
+            KernelSampler(2, 2).harmonic(grade)
 
     def test_trivial_kernel_raises(self):
         # in one variable, no degree-2 polynomial is harmonic or inframonogenic

@@ -186,6 +186,17 @@ class TestFamilyScans:
         with pytest.raises(ValueError, match="step"):
             sandwich_scan(TrigExpFamily(1, 0, 1, 0, 2), grid_points(3), math.nan)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_is_an_error(self, tol):
+        # a NaN tolerance would turn every verdict into "not harmonic"
+        with pytest.raises(ValueError, match=f"tolerance .* got {tol}"):
+            family_harmonicity_scan(TrigExpFamily(1, 0, 1, 0, 2), grid_points(3), 1e-4, tol)
+
+    def test_zero_tolerance_is_allowed(self):
+        # a constant field: the Laplacian stencil is exactly zero
+        harmonic, scan = family_harmonicity_scan(TrigExpFamily(1, 0, 0, 0, 0), grid_points(3), 1e-4, 0.0)
+        assert harmonic and scan.max_residual == 0.0
+
     @pytest.mark.parametrize("side", [0, -2])
     def test_grid_side_must_be_positive(self, side):
         with pytest.raises(ValueError, match=f"got {side}"):
