@@ -15,8 +15,12 @@ on P(k-2).  All operators here commute with the sign flips
 blade-mask = v of one degree into the same sector of another.  A sector
 of P(k) holds exactly one basis element per degree-k monomial, so the
 matrix of S o T decomposes into 2^m independent square blocks the size
-of the degree-(k-2) monomial count, which keeps exact elimination cheap
-even at m = 4, k = 6.
+of the degree-(k-2) monomial count.  Permuting the coordinates,
+(x_i, e_i) -> (x_sigma(i), e_sigma(i)), also commutes with S o T and
+carries sector v onto sector sigma(v), so the blocks fall into m + 1
+orbits, one per number of bits in v.  Only one block per orbit is
+inverted, by fraction-free elimination; the other inverses are signed
+permutations of it.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
@@ -392,11 +396,42 @@ def _weights(m: int, k: int) -> tuple[int, ...]:
 # -- sector decomposition --------------------------------------------------------
 
 
-def _composition(m: int, k: int) -> tuple[SectorColumns, ...]:
-    """Sector blocks S o T of Q -> sandwich(x Q x) acting on P(k-2)."""
+def _composition(m: int, k: int, sectors=None) -> tuple[SectorColumns, ...]:
+    """Sector blocks S o T of Q -> sandwich(x Q x) acting on P(k-2).
+
+    All 2^m sectors, or only those listed in ``sectors``.
+    """
     if k < 2:
         raise ValueError(f"composition blocks need degree k >= 2, got {k}")
-    return _compose(sector_operator("wrap_x", m, k - 2), sector_operator("sandwich", m, k))
+    wrap, sand = sector_operator("wrap_x", m, k - 2), sector_operator("sandwich", m, k)
+    if sectors is not None:
+        wrap, sand = tuple(wrap[v] for v in sectors), tuple(sand[v] for v in sectors)
+    return _compose(wrap, sand)
+
+
+def _conjugation(m: int, k: int, v: int) -> list[tuple[int, int]]:
+    """Sector v of P(k) as the image of sector 2^j - 1, j = |v|: (index, sign) per element.
+
+    The coordinate permutation sigma sends axes 0..j-1 onto v's bits and the
+    others onto the rest, both in ascending order.  It maps x^a e_A to
+    x^sigma(a) times e_A with sigma applied to each factor, which is
+    +-1 times a basis element once the factors are sorted.  Entry i names
+    the element of the representative's sector that lands on element i of
+    sector v, and that sign.
+    """
+    sigma = [b for b in range(m) if v >> b & 1] + [b for b in range(m) if not v >> b & 1]
+    rep = (1 << bin(v).count("1")) - 1
+    index, table = _monomial_table(m, k)
+    source = []
+    for b, _ in table:
+        i = index[tuple(b[t] for t in sigma)]
+        mask, blade, sign = rep ^ table[i][1], 0, 1
+        for t in range(m):
+            if mask >> t & 1:
+                sign *= blade_sign(blade, 1 << sigma[t])
+                blade |= 1 << sigma[t]
+        source.append((i, sign))
+    return source
 
 
 @lru_cache(maxsize=None)
@@ -404,12 +439,19 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
     """Per-sector inverses of the composed map on P(k-2), as (den, integer matrices).
 
     The inverse of sector v's block is its matrix divided by the one common
-    denominator den.  Singularity would contradict the direct-sum theorem
-    and is treated as an internal error.
+    denominator den.  Permuting coordinates, (x_i, e_i) -> (x_sigma(i),
+    e_sigma(i)), commutes with S o T and carries sector v onto sector
+    sigma(v) by a signed permutation, so the sectors fall into m + 1 orbits,
+    one per blade-mask weight |v|.  Only the representatives v = 2^j - 1 are
+    composed and inverted; every other sector's inverse is its
+    representative's with rows and columns permuted and signs flipped.
+    Singularity would contradict the direct-sum theorem and is treated as an
+    internal error.
     """
     n = monomial_count(m, k - 2)
+    representatives = [(1 << j) - 1 for j in range(m + 1)]
     inverses = []
-    for columns in _composition(m, k):
+    for columns in _composition(m, k, representatives):
         try:
             inverses.append(linalg.invert(_block(columns, n)))
         except linalg.SingularMatrixError as exc:
@@ -418,10 +460,16 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
                 f"for m={m}; this indicates an implementation bug"
             ) from exc
     den = lcm(*(x.denominator for inverse in inverses for row in inverse for x in row))
-    return den, tuple(
-        tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse)
+    scaled = [
+        [[x.numerator * (den // x.denominator) for x in row] for row in inverse]
         for inverse in inverses
-    )
+    ]
+    out = []
+    for v in range(1 << m):
+        source = _conjugation(m, k - 2, v)
+        block = scaled[bin(v).count("1")]
+        out.append(tuple(tuple(s * t * block[i][j] for j, t in source) for i, s in source))
+    return den, tuple(out)
 
 
 def composition_rank(m: int, k: int) -> int:
@@ -504,15 +552,14 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
 
     Degrees 0 and 1 are wholly inframonogenic and return a zero quotient.
     Above that, p's integer coordinates c are split per sector as
-    den c = infra + T quotient, with quotient = (S T)^-1 S den c, and the
-    flags are evaluated on those integers: reconstruction, S infra = 0,
-    and T^t W infra = 0, i.e. the Fischer pairing of infra with x b x for
-    every basis element b of P(k-2).  Since infra is defined as
-    den c - T quotient, reconstruction holds for every T and quotient and
-    cannot come out False; the other two flags test the solve.  The
-    returned polynomials are checked outside this function:
-    tests/test_fischer.py, acceptance criteria 1 and 3 and every benchmark
-    operation rebuild p from them (``infra_part + wrap_x(quotient) == p``).
+    den c = infra + T quotient, with quotient = (S T)^-1 S den c.  Two
+    flags test the solve on those integers: S infra = 0, and
+    T^t W infra = 0, i.e. the Fischer pairing of infra with x b x for
+    every basis element b of P(k-2).  The reconstruction flag tests what
+    is returned: the coordinates of the returned infra_part plus T times
+    those of the returned quotient must equal p's, compared exactly
+    across the three denominators, so a wrong conversion back to
+    polynomials makes it False.
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
@@ -525,34 +572,37 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     solver_den, inverses = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
     weights = _weights(m, k)
+    wrap = sector_operator("wrap_x", m, k - 2)
     infra: SectorVector = []
     quotient: SectorVector = []
-    reconstruction = sandwich_zero = orthogonal = True
-    for c, s_cols, t_cols, inverse in zip(
-        vec, sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2), inverses
-    ):
+    sandwich_zero = orthogonal = True
+    for c, s_cols, t_cols, inverse in zip(vec, sector_operator("sandwich", m, k), wrap, inverses):
         if not any(c):
             infra.append(c)
             quotient.append([0] * n_low)
             continue
         rhs = _apply(s_cols, c, n_low)
         q = linalg.mat_vec(inverse, rhs) if any(rhs) else [0] * n_low
-        tq = _apply(t_cols, q, len(c))
-        inf = [solver_den * x - y for x, y in zip(c, tq)]
-        reconstruction = reconstruction and all(
-            x + y == solver_den * z for x, y, z in zip(inf, tq, c)
-        )
+        inf = [solver_den * x - y for x, y in zip(c, _apply(t_cols, q, len(c)))]
         sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
         if orthogonal:
             weighted = [w * x for w, x in zip(weights, inf)]
             orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
         infra.append(inf)
         quotient.append(q)
-    den *= solver_den
-    checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
-    return DecompositionResult(
-        p, _from_sectors(m, k, infra, den), _from_sectors(m, k - 2, quotient, den), checks
+    infra_part = _from_sectors(m, k, infra, den * solver_den)
+    quotient_part = _from_sectors(m, k - 2, quotient, den * solver_den)
+    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den
+    got_infra, di = _sector_coords(infra_part, k)
+    got_quotient, dq = _sector_coords(quotient_part, k - 2)
+    reconstruction = all(
+        den * (dq * x + di * y) == di * dq * z
+        for a, b, t_cols, c in zip(got_infra, got_quotient, wrap, vec)
+        if any(a) or any(b) or any(c)
+        for x, y, z in zip(a, _apply(t_cols, b, len(c)), c)
     )
+    checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
+    return DecompositionResult(p, infra_part, quotient_part, checks)
 
 
 @dataclass(frozen=True)
@@ -586,8 +636,7 @@ def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     Step 0 is `fischer_decompose(p)` and step s+1 decomposes step s's
     quotient; layer s is step s's infra part.  The reconstruction and
     sandwich_zero flags are the AND over all steps, and orthogonality is
-    step 0's.  Like the steps' own reconstruction flags, the tower's holds
-    by construction.
+    step 0's.
     """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")

@@ -1,9 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are plain lists of rows whose entries are ints or Fractions.
-The block sizes produced by the sector decomposition in `fischer` are
-small (tens of rows), so plain reduced Gaussian elimination is both
-simple and fast enough.  `solve`, `invert` and `nullspace` return
+Every routine rests on one fraction-free Gauss-Jordan elimination
+(Bareiss 1968): each row is first scaled to integers by the lcm of its
+denominators, which leaves the reduced row echelon form unchanged, and
+the elimination then divides only exactly, so every intermediate entry
+is a minor of the scaled matrix and no gcd is taken until the end.  The
+last step divides each pivot row by its pivot, which gives the same
+unique RREF as rational Gauss-Jordan, several times faster on the
+sector blocks of `fischer`.  `solve`, `invert` and `nullspace` return
 Fractions whatever the input; `mat_vec` keeps the type of its input, so
 an integer matrix times an integer vector stays in integer arithmetic.
 """
@@ -11,6 +16,7 @@ an integer matrix times an integer vector stays in integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 Matrix = list[list[int | Fraction]]
@@ -21,33 +27,39 @@ class SingularMatrixError(ArithmeticError):
     """Raised when a system expected to be regular turns out not to be."""
 
 
-def _copy(matrix: Matrix) -> Matrix:
-    return [row[:] for row in matrix]
-
-
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    work = _copy(matrix)
+    """Reduced row echelon form, in Fractions, and the list of pivot columns."""
+    work = []
+    for row in matrix:
+        scale = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
         pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [v * inv for v in work[r]]
+        top = work[r]
+        pivot = top[c]
         for i in range(rows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+            if i == r:
+                continue
+            factor = work[i][c]
+            if factor:
+                work[i] = [(pivot * a - factor * b) // prev for a, b in zip(work[i], top)]
+            elif pivot != prev:
+                work[i] = [pivot * a // prev for a in work[i]]
+        prev = pivot
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return work, pivots
+    # every pivot row now carries the same pivot, the last leading minor
+    return [[Fraction(x, prev) for x in row] for row in work], pivots
 
 
 def rank(matrix: Matrix) -> int:

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and reference algorithms shared by the test modules."""
 
 from __future__ import annotations
 
@@ -54,3 +54,32 @@ def random_scalar_polynomial(
     rng: random.Random, m: int, degree: int, homogeneous: bool = True, max_terms: int = 6
 ) -> CliffordPolynomial:
     return random_polynomial(rng, m, degree, homogeneous, max_terms, grade=0)
+
+
+def reference_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form by textbook Gauss-Jordan over Fractions.
+
+    The reference that `inframono.linalg.rref`'s fraction-free elimination
+    is tested against: it normalises each pivot row as soon as it is found.
+    """
+    work = [row[:] for row in matrix]
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = Fraction(1) / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(rows):
+            if i != r and work[i][c]:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return work, pivots

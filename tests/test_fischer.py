@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -28,6 +29,7 @@ from inframono import (
     is_two_sided_monogenic,
     kernel_basis,
     laplacian,
+    monomial_count,
     mul_by_x_left,
     poly_basis,
     sandwich,
@@ -37,8 +39,9 @@ from inframono import (
     wrap_x,
     x_vector,
 )
+from inframono import fischer, linalg
 from inframono.linalg import mat_vec, rank
-from helpers import random_polynomial
+from helpers import random_polynomial, random_scalar_polynomial
 
 X1SQ = CliffordPolynomial.monomial(2, (2, 0), 1)
 X1X2 = CliffordPolynomial.monomial(2, (1, 1), 1)
@@ -256,6 +259,18 @@ class TestDecompose:
             "orthogonal": True,
         }
 
+    def test_reconstruction_flag_sees_a_lost_term(self, monkeypatch):
+        build = fischer._from_sectors
+
+        def lossy(*args):
+            p = build(*args)
+            return CliffordPolynomial(p.dim, dict(list(p.items())[1:]))
+
+        monkeypatch.setattr(fischer, "_from_sectors", lossy)
+        result = fischer_decompose(X1SQ)
+        assert result.checks == DecompositionChecks(False, True, True)
+        assert fischer_tower(X1SQ).checks.reconstruction is False
+
 
 class TestTower:
     def test_x1_squared_layers(self):
@@ -314,6 +329,62 @@ class TestTower:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
             fischer_tower(X1SQ + CliffordPolynomial.constant(2, 1))
+
+
+# Oracles that need no S o T inverse: the tower is unique, so planted
+# layers must come back exactly, in every sector of every orbit.
+PLANTED = [(m, k) for m in (2, 3, 4) for k in range(7)] + [(5, 4)]
+
+
+@pytest.mark.parametrize("m,k", PLANTED)
+def test_tower_recovers_planted_layers(m, k):
+    planted = [KernelSampler(m, k - 2 * s, seed=s).inframonogenic() for s in range(k // 2 + 1)]
+    p = CliffordPolynomial.zero(m)
+    for s, layer in enumerate(planted):
+        p = p + wrap_x(layer, s)
+    tower = fischer_tower(p)
+    assert [layer.component for layer in tower.layers] == planted
+    assert tower.checks.all_ok
+
+
+@pytest.mark.parametrize("m,k", [(2, 6), (3, 5), (3, 6), (4, 6), (5, 4)])
+def test_scalar_tower_is_the_harmonic_fischer_decomposition(m, k):
+    # on scalars the sandwich operator is -laplacian and x L x = -|x|^2 L
+    rng = random.Random(10 * m + k)
+    for _ in range(3):
+        tower = fischer_tower(random_scalar_polynomial(rng, m, k, max_terms=8))
+        for layer in tower.layers:
+            assert layer.component.grades() <= {0}
+            assert is_harmonic(layer.component)
+
+
+class TestOrbitSolver:
+    """The solver inverts one sector per orbit and conjugates the rest."""
+
+    @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)] + [(5, 4)])
+    def test_every_sector_equals_direct_elimination(self, m, k):
+        den, matrices = fischer._composition_solver(m, k)
+        n = monomial_count(m, k - 2)
+        direct = [linalg.invert(fischer._block(cols, n)) for cols in fischer._composition(m, k)]
+        assert len(matrices) == len(direct) == 1 << m
+        for matrix, inverse in zip(matrices, direct):
+            assert [[Fraction(x, den) for x in row] for row in matrix] == inverse
+        dens = [lcm(*(x.denominator for row in inverse for x in row)) for inverse in direct]
+        assert den == lcm(*dens)
+
+    @pytest.mark.parametrize("m,k", [(2, 4), (3, 6), (4, 6), (5, 4)])
+    def test_cold_build_inverts_one_block_per_orbit(self, monkeypatch, m, k):
+        sizes = []
+        invert = linalg.invert
+
+        def counted(matrix):
+            sizes.append(len(matrix))
+            return invert(matrix)
+
+        monkeypatch.setattr(linalg, "invert", counted)
+        fischer._composition_solver.cache_clear()
+        fischer._composition_solver(m, k)
+        assert sizes == [monomial_count(m, k - 2)] * (m + 1)
 
 
 class TestAlmansi:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_rref
+from inframono import linalg
 from inframono.linalg import (
     SingularMatrixError,
     invert,
@@ -109,3 +111,92 @@ class TestNullspace:
     def test_full_rank_square_has_trivial_kernel(self):
         mat = [[F(2), F(0)], [F(0), F(3)]]
         assert nullspace(mat) == []
+
+
+def shaped_matrices(seed):
+    """Seeded int and Fraction matrices of every shape the elimination meets.
+
+    Square, wide and tall; rank-deficient products; all-zero; with zero
+    columns; and with negative leading entries, so negative pivots occur.
+    """
+    rng = random.Random(seed)
+
+    def entry(kind, span=6):
+        if kind == "int":
+            return rng.randint(-span, span)
+        return F(rng.randint(-span, span), rng.randint(1, 5))
+
+    out = []
+    for rows, cols in ((1, 1), (4, 4), (6, 6), (3, 7), (1, 5), (7, 3), (5, 1)):
+        for kind in ("int", "fraction"):
+            full = [[entry(kind) for _ in range(cols)] for _ in range(rows)]
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = [[entry(kind, 3) for _ in range(inner)] for _ in range(rows)]
+            right = [[entry(kind, 3) for _ in range(cols)] for _ in range(inner)]
+            deficient = [
+                [sum(a * right[t][j] for t, a in enumerate(row)) for j in range(cols)]
+                for row in left
+            ]
+            gaps = [[0 if j % 2 else x for j, x in enumerate(row)] for row in full]
+            negative = [[-abs(x) if j == i else x for j, x in enumerate(row)]
+                        for i, row in enumerate(full)]
+            zero = [[0 if kind == "int" else F(0) for _ in range(cols)] for _ in range(rows)]
+            out += [full, deficient, gaps, negative, zero]
+    return out
+
+
+def with_reference(monkeypatch, fn, *args):
+    """fn's result, or the exception it raises, with rref swapped for the reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", reference_rref)
+        return outcome(fn, *args)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return type(exc)
+
+
+class TestAgainstReference:
+    """The fraction-free elimination reproduces rational Gauss-Jordan exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rref_rank_nullspace(self, monkeypatch, seed):
+        for mat in shaped_matrices(seed):
+            snapshot = [row[:] for row in mat]
+            reduced, pivots = rref(mat)
+            want_reduced, want_pivots = reference_rref(mat)
+            assert pivots == want_pivots
+            assert reduced == want_reduced
+            assert all(type(x) is Fraction for row in reduced for x in row)
+            assert rank(mat) == len(want_pivots)
+            assert nullspace(mat) == with_reference(monkeypatch, nullspace, mat)
+            assert mat == snapshot
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_invert(self, monkeypatch, seed):
+        rng = random.Random(100 + seed)
+        square = [mat for mat in shaped_matrices(seed) if len(mat) == len(mat[0])]
+        singular = 0
+        for mat in square:
+            rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in mat]
+            want = with_reference(monkeypatch, invert, mat)
+            assert outcome(invert, mat) == want
+            assert outcome(solve, mat, rhs) == with_reference(monkeypatch, solve, mat, rhs)
+            singular += want is SingularMatrixError
+        assert 0 < singular < len(square)
+
+    def test_empty_and_degenerate_shapes(self):
+        assert rref([]) == ([], [])
+        assert rref([[], []]) == ([[], []], [])
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert nullspace([[0, 0]]) == [[F(1), F(0)], [F(0), F(1)]]
+        assert rref([[-3, 6], [2, -4]]) == ([[F(1), F(-2)], [F(0), F(0)]], [0])
+
+    def test_singular_integer_input(self):
+        with pytest.raises(SingularMatrixError):
+            invert([[2, 4], [-1, -2]])
+        with pytest.raises(SingularMatrixError):
+            solve([[0, 0], [0, 0]], [0, 0])
