@@ -8,6 +8,22 @@ import pytest
 from inframono.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# Across these, each of the 8 predicates comes out both true and false;
+# the second and tenth are inhomogeneous.
+CHECK_INPUTS = (
+    "x1*x2*e1",
+    "x1^3*e12 - 2*x2*x3*e3 + 1/2*x1",
+    "x1 + x2*e12",
+    "x1*e1 + x2*e2 + x3*e3",
+    "x1^2*x2 - 1/3*x2^3",
+    "x1^2*e1 - x2^2*e1 + 3/2*x3*x4*e1234",
+    "x1^4",
+    "x1*e1",
+    "e123",
+    "x1^2*e2 + x1",
+    "x1*x2*x3*x4*e13",
+    "x1 - x2*e12",
+)
 FAMILY = ("family", "--c1", "1", "--c2", "0", "--c3", "1", "--c4", "0", "--n", "2")
 
 
@@ -29,6 +45,13 @@ class TestGolden:
         code, out, err = run_cli(capsys, "check", "--m", "2", "x1*x2*e1")
         assert code == 0 and err == ""
         assert out == (GOLDEN / "check_x1x2e1.txt").read_text()
+
+    def test_check_file(self, capsys, tmp_path):
+        source = tmp_path / "inputs.txt"
+        source.write_text("\n".join(CHECK_INPUTS) + "\n")
+        code, out, err = run_cli(capsys, "check", "--m", "4", "--file", str(source))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "check_m4_file.txt").read_text()
 
     def test_dims_table(self, capsys):
         code, out, err = run_cli(capsys, "dims", "--m", "3", "--k", "4")
