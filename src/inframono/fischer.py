@@ -24,7 +24,8 @@ permutations of it.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
-as sparse integer columns, straight from exponents and blade signs.  A
+as sparse integer columns, from `polynomials._primitive_term`, the
+per-term rule the polynomial operators apply as well.  A
 splitting step reads its input's terms straight into sector-local
 integer coordinates over one common denominator, solves there, and
 writes the two parts back as polynomials.  The complete decomposition
@@ -54,6 +55,7 @@ from .operators import (
 from .polynomials import (
     CliffordPolynomial,
     Monomial,
+    _primitive_term,
     euler,
     monomial_basis,
     monomial_count,
@@ -261,27 +263,16 @@ def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
 
 
 # Degree change of each operator.  The primitives act on x^a e_A one axis j
-# at a time; the composites apply their primitives first to last, so
-# sandwich = right Dirac after left Dirac and wrap_x = x_left after x_right,
-# as in `operators.sandwich` and `wrap_x`.
+# at a time, by `polynomials._primitive_term`, as the polynomial operators
+# do; the composites apply their primitives first to last, so sandwich =
+# right Dirac after left Dirac and wrap_x = x_left after x_right, as in
+# `operators.sandwich` and `wrap_x`.
 _DEGREE_SHIFT = {"dirac_left": -1, "dirac_right": -1, "x_left": 1, "x_right": 1,
                  "laplacian": -2, "sandwich": -2, "wrap_x": 2}
 _COMPOSITES = {"sandwich": ("dirac_left", "dirac_right"), "wrap_x": ("x_right", "x_left")}
 
 #: Columns of one sector block: per input monomial, (output monomial index, value) pairs.
 SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _primitive_term(op: str, a: Monomial, mask: int, j: int) -> tuple[Monomial, int] | None:
-    """The axis-j term of op(x^a e_mask): its monomial and integer coefficient."""
-    e = a[j]
-    if op == "laplacian":
-        return (a[:j] + (e - 2,) + a[j + 1:], e * (e - 1)) if e >= 2 else None
-    bit = 1 << j
-    sign = blade_sign(bit, mask) if op.endswith("_left") else blade_sign(mask, bit)
-    if op.startswith("x_"):
-        return a[:j] + (e + 1,) + a[j + 1:], sign
-    return (a[:j] + (e - 1,) + a[j + 1:], e * sign) if e else None
 
 
 def _compose(
@@ -336,7 +327,7 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
         block = []
         for a, par in table:
             terms = (_primitive_term(op, a, v ^ par, j) for j in range(m))
-            block.append(tuple(sorted((row[b], x) for b, x in filter(None, terms))))
+            block.append(tuple(sorted((row[b], x) for b, _, x in filter(None, terms))))
         out.append(tuple(block))
     return tuple(out)
 
@@ -522,14 +513,14 @@ class _Splitting:
     def k(self) -> int:
         return self.input.degree() or 0
 
-    def _document(self, infra: CliffordPolynomial, quotient: CliffordPolynomial, layers) -> dict:
+    def _document(self, infra: str, quotient: CliffordPolynomial, layers: list[dict]) -> dict:
         return {
             "m": self.m,
             "k": self.k,
             "input": str(self.input),
-            "infra": str(infra),
+            "infra": infra,
             "quotient": str(quotient),
-            "layers": [{"s": layer.s, "component": str(layer.component)} for layer in layers],
+            "layers": layers,
             "checks": asdict(self.checks),
         }
 
@@ -544,7 +535,7 @@ class DecompositionResult(_Splitting):
     checks: DecompositionChecks
 
     def to_json_dict(self) -> dict:
-        return self._document(self.infra_part, self.quotient, ())
+        return self._document(str(self.infra_part), self.quotient, [])
 
 
 def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
@@ -627,7 +618,8 @@ class FischerTower(_Splitting):
         return total
 
     def to_json_dict(self) -> dict:
-        return self._document(self.layers[0].component, self.first_quotient, self.layers)
+        layers = [{"s": layer.s, "component": str(layer.component)} for layer in self.layers]
+        return self._document(layers[0]["component"], self.first_quotient, layers)
 
 
 def fischer_tower(p: CliffordPolynomial) -> FischerTower:

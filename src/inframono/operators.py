@@ -6,7 +6,9 @@ tolerances.  The central object is the sandwich operator
     p  ->  sum_{i,j} e_i (d_i d_j p) e_j,
 
 the composition of the left and right Dirac actions in either order.
-Polynomials annihilated by it are called inframonogenic.
+Polynomials annihilated by it are called inframonogenic.  Both Dirac
+actions and the Laplacian apply `polynomials._primitive_term` to each term,
+the rule the compiled sector operators of `fischer` are built from.
 """
 
 from __future__ import annotations
@@ -15,26 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Multivector
-from .polynomials import CliffordPolynomial, mul_by_x_left, mul_by_x_right
-
-
-def _dirac(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
-    total = CliffordPolynomial.zero(p.dim)
-    for j in range(1, p.dim + 1):
-        e_j = Multivector.basis_vector(p.dim, j)
-        d_j = p.partial(j)
-        total = total + (d_j.mul_left(e_j) if left else d_j.mul_right(e_j))
-    return total
+from .polynomials import CliffordPolynomial, _apply_primitive, mul_by_x_left, mul_by_x_right
 
 
 def dirac_left(p: CliffordPolynomial) -> CliffordPolynomial:
     """Left Dirac action: sum_j e_j (d/dx_j p)."""
-    return _dirac(p, left=True)
+    return _apply_primitive("dirac_left", p)
 
 
 def dirac_right(p: CliffordPolynomial) -> CliffordPolynomial:
     """Right Dirac action: sum_j (d/dx_j p) e_j."""
-    return _dirac(p, left=False)
+    return _apply_primitive("dirac_right", p)
 
 
 def sandwich(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -48,10 +41,7 @@ def sandwich(p: CliffordPolynomial) -> CliffordPolynomial:
 
 def laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
     """Laplace operator sum_j d^2/dx_j^2, equal to minus either Dirac square."""
-    total = CliffordPolynomial.zero(p.dim)
-    for j in range(1, p.dim + 1):
-        total = total + p.partial(j).partial(j)
-    return total
+    return _apply_primitive("laplacian", p)
 
 
 def conjugate_sum(p: CliffordPolynomial) -> CliffordPolynomial:

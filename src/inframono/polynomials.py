@@ -21,6 +21,7 @@ from .algebra import (
     _blade_order_key,
     _check_dim,
     blade_name,
+    blade_sign,
 )
 
 Monomial = tuple[int, ...]
@@ -250,17 +251,12 @@ class CliffordPolynomial:
         if not 1 <= j <= self._dim:
             raise ValueError(f"axis {j} out of range 1..{self._dim}")
         idx = j - 1
-        terms: dict[Monomial, Multivector] = {}
-        for mono, coeff in self._terms.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            lowered = mono[:idx] + (e - 1,) + mono[idx + 1:]
-            value = coeff * e
-            if lowered in terms:
-                terms[lowered] = terms[lowered] + value
-            else:
-                terms[lowered] = value
+        # lowering one axis maps distinct monomials to distinct monomials
+        terms = {
+            mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]: coeff * mono[idx]
+            for mono, coeff in self._terms.items()
+            if mono[idx]
+        }
         return CliffordPolynomial(self._dim, terms)
 
     def eval(self, point: Sequence[RationalLike]) -> Multivector:
@@ -336,29 +332,46 @@ def x_vector(m: int) -> CliffordPolynomial:
     return CliffordPolynomial(m, terms)
 
 
-def _mul_by_x(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
+def _primitive_term(op: str, a: Monomial, mask: int, j: int) -> tuple[Monomial, int, int] | None:
+    """The axis-j term of op(x^a e_mask): its monomial, its blade and its integer coefficient.
+
+    ``op`` is dirac_left (e_j d_j p), dirac_right ((d_j p) e_j), x_left
+    (x_j e_j p), x_right (x_j p e_j) or laplacian (d_j^2 p).  None when
+    the term vanishes.
+    """
+    e = a[j]
+    if op == "laplacian":
+        return (a[:j] + (e - 2,) + a[j + 1:], mask, e * (e - 1)) if e >= 2 else None
+    bit = 1 << j
+    sign = blade_sign(bit, mask) if op.endswith("_left") else blade_sign(mask, bit)
+    if op.startswith("x_"):
+        return a[:j] + (e + 1,) + a[j + 1:], mask ^ bit, sign
+    return (a[:j] + (e - 1,) + a[j + 1:], mask ^ bit, e * sign) if e else None
+
+
+def _apply_primitive(op: str, p: CliffordPolynomial) -> CliffordPolynomial:
+    """op applied to every term of p, summed over terms and axes."""
     m = p.dim
-    terms: dict[Monomial, Multivector] = {}
-    for mono, coeff in p.items():
-        for j in range(m):
-            raised = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-            e_j = Multivector.basis_vector(m, j + 1)
-            value = e_j * coeff if left else coeff * e_j
-            if raised in terms:
-                terms[raised] = terms[raised] + value
-            else:
-                terms[raised] = value
-    return CliffordPolynomial(m, terms)
+    terms: dict[Monomial, dict[int, Fraction]] = {}
+    for a, coeff in p.items():
+        for mask, value in coeff.items():
+            for j in range(m):
+                term = _primitive_term(op, a, mask, j)
+                if term:
+                    b, blade, x = term
+                    out = terms.setdefault(b, {})
+                    out[blade] = out.get(blade, 0) + x * value
+    return CliffordPolynomial(m, {b: Multivector(m, tm) for b, tm in terms.items()})
 
 
 def mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
     """x * p, i.e. sum_j x_j (e_j p); raises degree by one."""
-    return _mul_by_x(p, left=True)
+    return _apply_primitive("x_left", p)
 
 
 def mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
     """p * x, i.e. sum_j x_j (p e_j); raises degree by one."""
-    return _mul_by_x(p, left=False)
+    return _apply_primitive("x_right", p)
 
 
 def euler(p: CliffordPolynomial) -> CliffordPolynomial:

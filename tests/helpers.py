@@ -83,3 +83,52 @@ def reference_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
         if r == rows:
             break
     return work, pivots
+
+
+# Reference operators built from general Multivector products and `partial`.
+# The library's polynomial operators and its compiled sector operators all
+# apply one per-term rule, `polynomials._primitive_term`; these share none of it.
+
+
+def _reference_dirac(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
+    total = CliffordPolynomial.zero(p.dim)
+    for j in range(1, p.dim + 1):
+        e_j = Multivector.basis_vector(p.dim, j)
+        d_j = p.partial(j)
+        total = total + (d_j.mul_left(e_j) if left else d_j.mul_right(e_j))
+    return total
+
+
+def _reference_mul_by_x(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
+    m = p.dim
+    terms: dict[tuple[int, ...], Multivector] = {}
+    for mono, coeff in p.items():
+        for j in range(m):
+            raised = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+            e_j = Multivector.basis_vector(m, j + 1)
+            value = e_j * coeff if left else coeff * e_j
+            terms[raised] = terms[raised] + value if raised in terms else value
+    return CliffordPolynomial(m, terms)
+
+
+def reference_laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
+    total = CliffordPolynomial.zero(p.dim)
+    for j in range(1, p.dim + 1):
+        total = total + p.partial(j).partial(j)
+    return total
+
+
+def reference_dirac_left(p: CliffordPolynomial) -> CliffordPolynomial:
+    return _reference_dirac(p, left=True)
+
+
+def reference_dirac_right(p: CliffordPolynomial) -> CliffordPolynomial:
+    return _reference_dirac(p, left=False)
+
+
+def reference_mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
+    return _reference_mul_by_x(p, left=True)
+
+
+def reference_mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
+    return _reference_mul_by_x(p, left=False)

@@ -41,7 +41,7 @@ from inframono import (
 )
 from inframono import fischer, linalg
 from inframono.linalg import mat_vec, rank
-from helpers import random_polynomial, random_scalar_polynomial
+from helpers import random_polynomial, random_scalar_polynomial, reference_laplacian
 
 X1SQ = CliffordPolynomial.monomial(2, (2, 0), 1)
 X1X2 = CliffordPolynomial.monomial(2, (1, 1), 1)
@@ -356,6 +356,50 @@ def test_scalar_tower_is_the_harmonic_fischer_decomposition(m, k):
         for layer in tower.layers:
             assert layer.component.grades() <= {0}
             assert is_harmonic(layer.component)
+
+
+def _harmonic_projection(p, k, norm_sq):
+    """sum_j c_j |x|^(2j) lap^j p, with c_0 = 1, c_(j+1) = -c_j / (2 (j+1) (m + 2k - 2j - 4)).
+
+    The harmonic part of a degree-k p in its classical Fischer decomposition
+    (Axler, Bourdon, Ramey, Harmonic Function Theory, ch. 5); norm_sq(r) is
+    |x|^2 r.  Only terms with 2j <= k can be nonzero, which keeps every
+    denominator positive.
+    """
+    m = p.dim
+    total, c, lap_j = CliffordPolynomial.zero(m), Fraction(1), p
+    for j in range(k // 2 + 1):
+        if j:
+            c = -c / (2 * j * (m + 2 * k - 2 * (j - 1) - 4))
+        term = lap_j
+        for _ in range(j):
+            term = norm_sq(term)
+        total = total + term * c
+        lap_j = reference_laplacian(lap_j)
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("top", [False, True], ids=["grade_0", "grade_m"])
+def test_tower_steps_match_closed_form_harmonic_projection(m, top):
+    # Grades 0 and m: the sandwich operator is -lap on q and (-1)^m lap on
+    # q e_1..m, and x r x is -|x|^2 r and (-1)^m |x|^2 r, so each step is the
+    # classical harmonic splitting, and the oracle needs no elimination.
+    pseudoscalar = Multivector.blade(m, range(1, m + 1))
+    sign = (-1) ** m if top else -1
+    rng = random.Random(10 * m + top)
+    for k in range(7 if m < 5 else 5):
+        for _ in range(3):
+            q = random_scalar_polynomial(rng, m, k, max_terms=8)
+            p = q.mul_right(pseudoscalar) if top else q
+            tower = fischer_tower(p)
+            for layer in tower.layers:
+                step = fischer_decompose(p)
+                harmonic = _harmonic_projection(p, k - 2 * layer.s, lambda r: wrap_x(r) * sign)
+                assert step.infra_part == harmonic
+                assert layer.component == harmonic
+                assert wrap_x(step.quotient) == p - harmonic
+                p = step.quotient
 
 
 class TestOrbitSolver:

@@ -24,7 +24,15 @@ from inframono import (
     sandwich,
     x_vector,
 )
-from helpers import random_polynomial, random_scalar_polynomial
+from helpers import (
+    random_polynomial,
+    random_scalar_polynomial,
+    reference_dirac_left,
+    reference_dirac_right,
+    reference_laplacian,
+    reference_mul_by_x_left,
+    reference_mul_by_x_right,
+)
 
 
 def poly(m, terms):
@@ -94,6 +102,23 @@ class TestSandwich:
             m = rng.randint(2, 4)
             p = random_polynomial(rng, m, rng.randint(0, 5), homogeneous=False)
             assert sandwich(p) == sandwich_by_double_sum(p)
+
+
+def test_term_rule_oracle():
+    """The five term-rule operators equal their Multivector-product definitions."""
+    pairs = [
+        (dirac_left, reference_dirac_left),
+        (dirac_right, reference_dirac_right),
+        (laplacian, reference_laplacian),
+        (mul_by_x_left, reference_mul_by_x_left),
+        (mul_by_x_right, reference_mul_by_x_right),
+    ]
+    rng = random.Random(12)
+    for i in range(120):
+        m = 1 + i % 6
+        p = random_polynomial(rng, m, rng.randint(0, 5), homogeneous=False)
+        for op, reference in pairs:
+            assert op(p) == reference(p), (op.__name__, p)
 
 
 class TestLaplacian:
