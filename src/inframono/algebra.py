@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 #: Hard cap on the generator count (4096 blades).  Raise it if you know
@@ -60,6 +61,60 @@ def blade_name(mask: int, dim: int) -> str:
     if dim <= 9:
         return "e" + "".join(str(j) for j in indices)
     return "e{" + ",".join(str(j) for j in indices) + "}"
+
+
+@lru_cache(maxsize=None)
+def _vector_signs(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Signs of e_j e_A and of e_A e_j, as (left, right) tables indexed [mask][j - 1].
+
+    e_j passes the factors of e_A below j (left) or above j (right), and
+    e_j^2 = -1 when j is in A.
+    """
+
+    def sign(swaps: int) -> int:
+        return -1 if swaps & 1 else 1
+
+    masks = range(1 << dim)
+    left = tuple(
+        tuple(sign(_popcount(mask & ((2 << j) - 1))) for j in range(dim)) for mask in masks
+    )
+    right = tuple(tuple(sign(_popcount(mask >> j)) for j in range(dim)) for mask in masks)
+    return left, right
+
+
+@lru_cache(maxsize=None)
+def _blade_table(dim: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Per mask: its rank in (grade, mask) order, and its text in a printed term.
+
+    The text is ``*`` and the blade name, or empty for the scalar blade.
+    """
+    rank = [0] * (1 << dim)
+    for i, mask in enumerate(blades_in_order(dim)):
+        rank[mask] = i
+    return tuple(rank), ("",) + tuple("*" + blade_name(mask, dim) for mask in range(1, 1 << dim))
+
+
+def _format_terms(dim: int, groups: Iterable[tuple[str, Mapping[int, Fraction]]]) -> str:
+    """Signed text of (variable text, blade -> coefficient) groups, in the given group order.
+
+    Within a group, terms follow (grade, mask) order.  Each term prints
+    as ``|c|``, the variable text (empty or ``*``-led) and the blade text;
+    the first term carries a bare ``-`` when negative, the others
+    `` + `` or `` - ``.  No terms at all print as ``0``.
+    """
+    rank, blade_text = _blade_table(dim)
+    chunks: list[str] = []
+    for var_text, coeffs in groups:
+        for mask in sorted(coeffs, key=rank.__getitem__):
+            value = coeffs[mask]
+            num, den = value.numerator, value.denominator
+            sign = " - " if num < 0 else " + "
+            body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            chunks.append(sign + body + var_text + blade_text[mask])
+    if not chunks:
+        return "0"
+    text = "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 @dataclass(frozen=True)
@@ -135,6 +190,18 @@ class Multivector:
                     clean[mask] = value
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[int, Fraction]) -> "Multivector":
+        """Wrap terms already in canonical form, unchecked and uncopied.
+
+        For terms the library built itself: int masks in range for dim and
+        non-zero Fraction values.  Outside input goes through __init__.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Multivector is immutable")
@@ -301,19 +368,7 @@ class Multivector:
         return hash((self._dim, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for mask in sorted(self._terms, key=_blade_order_key):
-            coeff = self._terms[mask]
-            body = str(abs(coeff))
-            if mask:
-                body += "*" + blade_name(mask, self._dim)
-            if not chunks:
-                chunks.append(("-" if coeff < 0 else "") + body)
-            else:
-                chunks.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(chunks)
+        return _format_terms(self._dim, (("", self._terms),))
 
     def __repr__(self) -> str:
         return f"Multivector({self._dim}, {self._terms!r})"

@@ -24,7 +24,7 @@ permutations of it.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
-as sparse integer columns, from `polynomials._primitive_term`, the
+as sparse integer columns, from `polynomials._primitive_terms`, the
 per-term rule the polynomial operators apply as well.  A
 splitting step reads its input's terms straight into sector-local
 integer coordinates over one common denominator, solves there, and
@@ -55,7 +55,7 @@ from .operators import (
 from .polynomials import (
     CliffordPolynomial,
     Monomial,
-    _primitive_term,
+    _primitive_terms,
     euler,
     monomial_basis,
     monomial_count,
@@ -125,7 +125,8 @@ def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolyno
         for (mono, par), x in zip(table, values):
             if x:
                 terms.setdefault(mono, {})[v ^ par] = Fraction(x, den)
-    return CliffordPolynomial(m, {mono: Multivector(m, tm) for mono, tm in terms.items()})
+    trusted = {mono: Multivector._trusted(m, tm) for mono, tm in terms.items()}
+    return CliffordPolynomial._trusted(m, trusted)
 
 
 def coords(p: CliffordPolynomial, k: int) -> list[Fraction]:
@@ -263,7 +264,7 @@ def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
 
 
 # Degree change of each operator.  The primitives act on x^a e_A one axis j
-# at a time, by `polynomials._primitive_term`, as the polynomial operators
+# at a time, by `polynomials._primitive_terms`, as the polynomial operators
 # do; the composites apply their primitives first to last, so sandwich =
 # right Dirac after left Dirac and wrap_x = x_left after x_right, as in
 # `operators.sandwich` and `wrap_x`.
@@ -326,8 +327,8 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
     for v in range(1 << m):
         block = []
         for a, par in table:
-            terms = (_primitive_term(op, a, v ^ par, j) for j in range(m))
-            block.append(tuple(sorted((row[b], x) for b, _, x in filter(None, terms))))
+            terms = _primitive_terms(op, a, v ^ par)
+            block.append(tuple(sorted((row[b], x) for b, _, x in terms)))
         out.append(tuple(block))
     return tuple(out)
 

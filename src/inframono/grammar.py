@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Multivector, blade_sign, _check_dim
-from .polynomials import CliffordPolynomial
+from .algebra import Multivector, _check_dim, _vector_signs
+from .polynomials import CliffordPolynomial, Monomial
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -24,6 +24,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<blade_braced>e\{[^{}]*\})"
     r"|(?P<blade>e\d*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -37,15 +39,12 @@ class PolynomialSyntaxError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup or ""
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise PolynomialSyntaxError(f"unexpected character {match.group()!r}", match.start())
         if kind != "ws":
-            tokens.append((kind, match.group(), pos))
-        pos = match.end()
+            tokens.append((kind, match.group(), match.start()))
     return tokens
 
 
@@ -54,6 +53,7 @@ class _Parser:
         self._tokens = tokens
         self._length = length
         self._m = m
+        self._signs = _vector_signs(m)[1]
         self._i = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
@@ -73,15 +73,15 @@ class _Parser:
             return tok[1]
         return None
 
-    def parse_poly(self) -> CliffordPolynomial:
-        total = CliffordPolynomial.zero(self._m)
+    def parse_poly(self, acc: dict[Monomial, dict[int, Fraction]], sign: int = 1) -> None:
+        """Add sign times a sum of terms, up to ')' or the end, into acc."""
         first = True
         while True:
-            sign = 1
+            term_sign = sign
             if first:
                 op = self._accept_op("+", "-")
                 if op == "-":
-                    sign = -1
+                    term_sign = -sign
             else:
                 tok = self._peek()
                 if tok is None or (tok[0] == "op" and tok[1] == ")"):
@@ -90,30 +90,30 @@ class _Parser:
                 if op is None:
                     raise PolynomialSyntaxError("expected '+' or '-' between terms", tok[2])
                 if op == "-":
-                    sign = -1
+                    term_sign = -sign
             if self._accept_op("("):
-                inner = self.parse_poly()
+                self.parse_poly(acc, term_sign)
                 tok = self._peek()
                 if not self._accept_op(")"):
                     raise PolynomialSyntaxError(
                         "expected ')'", tok[2] if tok else self._length
                     )
-                total = total + inner * sign
             else:
-                total = total + self._parse_term() * sign
+                mono, mask, value = self._parse_term()
+                blades = acc.setdefault(mono, {})
+                blades[mask] = blades.get(mask, 0) + term_sign * value
             first = False
-        return total
 
-    def _parse_rational(self, first: tuple[str, str, int]) -> Fraction:
-        value = Fraction(int(first[1]))
-        if self._accept_op("/"):
-            tok = self._next()
-            if tok[0] != "int":
-                raise PolynomialSyntaxError("expected an integer denominator", tok[2])
-            if int(tok[1]) == 0:
-                raise PolynomialSyntaxError("zero denominator", tok[2])
-            value /= int(tok[1])
-        return value
+    def _parse_rational(self, first: tuple[str, str, int]) -> tuple[int, int]:
+        """An integer or ``n/d`` literal as (numerator, denominator)."""
+        if not self._accept_op("/"):
+            return int(first[1]), 1
+        tok = self._next()
+        if tok[0] != "int":
+            raise PolynomialSyntaxError("expected an integer denominator", tok[2])
+        if int(tok[1]) == 0:
+            raise PolynomialSyntaxError("zero denominator", tok[2])
+        return int(first[1]), int(tok[1])
 
     def _blade_indices(self, tok: tuple[str, str, int]) -> list[int]:
         kind, text, pos = tok
@@ -130,8 +130,9 @@ class _Parser:
             indices.append(int(piece))
         return indices
 
-    def _parse_term(self) -> CliffordPolynomial:
-        coeff = Fraction(1)
+    def _parse_term(self) -> tuple[Monomial, int, Fraction]:
+        """One product of factors: its monomial, its blade and its signed coefficient."""
+        num = den = 1
         exponents = [0] * self._m
         mask = 0
         sign = 1
@@ -142,7 +143,9 @@ class _Parser:
             kind, text, pos = tok
             if kind == "int":
                 self._i += 1
-                coeff *= self._parse_rational(tok)
+                n, d = self._parse_rational(tok)
+                num *= n
+                den *= d
             elif kind == "var":
                 self._i += 1
                 j = int(text[1:])
@@ -168,15 +171,13 @@ class _Parser:
                     if j in seen:
                         raise PolynomialSyntaxError(f"repeated blade index {j}", pos)
                     seen.add(j)
-                    bit = 1 << (j - 1)
-                    sign *= blade_sign(mask, bit)
-                    mask ^= bit
+                    sign *= self._signs[mask][j - 1]
+                    mask ^= 1 << (j - 1)
             else:
                 raise PolynomialSyntaxError(f"expected a factor, found {text!r}", pos)
             if not self._accept_op("*"):
                 break
-        coefficient = Multivector(self._m, {mask: coeff * sign})
-        return CliffordPolynomial(self._m, {tuple(exponents): coefficient})
+        return tuple(exponents), mask, Fraction(sign * num, den)
 
     def expect_end(self) -> None:
         tok = self._peek()
@@ -195,6 +196,12 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
     parser = _Parser(tokens, len(text), m)
-    poly = parser.parse_poly()
+    acc: dict[Monomial, dict[int, Fraction]] = {}
+    parser.parse_poly(acc)
     parser.expect_end()
-    return poly
+    terms = {}
+    for mono, blades in acc.items():
+        blades = {mask: value for mask, value in blades.items() if value}
+        if blades:
+            terms[mono] = Multivector._trusted(m, blades)
+    return CliffordPolynomial._trusted(m, terms)

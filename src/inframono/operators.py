@@ -7,7 +7,7 @@ tolerances.  The central object is the sandwich operator
 
 the composition of the left and right Dirac actions in either order.
 Polynomials annihilated by it are called inframonogenic.  Both Dirac
-actions and the Laplacian apply `polynomials._primitive_term` to each term,
+actions and the Laplacian apply `polynomials._primitive_terms` to each term,
 the rule the compiled sector operators of `fischer` are built from.
 """
 
@@ -96,21 +96,24 @@ def is_biharmonic(p: CliffordPolynomial) -> bool:
     return laplacian(laplacian(p)).is_zero()
 
 
-ALL_PREDICATES = (
-    ("left_monogenic", is_left_monogenic),
-    ("right_monogenic", is_right_monogenic),
-    ("two_sided_monogenic", is_two_sided_monogenic),
-    ("inframonogenic", is_inframonogenic),
-    ("three_monogenic_left", lambda p: is_k_monogenic(p, 3, "left")),
-    ("three_monogenic_right", lambda p: is_k_monogenic(p, 3, "right")),
-    ("harmonic", is_harmonic),
-    ("biharmonic", is_biharmonic),
-)
-
-
 def predicate_report(p: CliffordPolynomial) -> dict[str, bool]:
-    """All predicate verdicts in a fixed, printable order."""
-    return {name: fn(p) for name, fn in ALL_PREDICATES}
+    """All predicate verdicts in a fixed, printable order.
+
+    The verdicts are those of the single predicates above (the three
+    monogenic ones with k = 3), from each operator chain computed once:
+    D_L, D_L^2, D_L^3, D_R, D_R^2, D_R^3, D_R D_L, Lap and Lap^2.
+    """
+    left, right, lap = dirac_left(p), dirac_right(p), laplacian(p)
+    return {
+        "left_monogenic": left.is_zero(),
+        "right_monogenic": right.is_zero(),
+        "two_sided_monogenic": left.is_zero() and right.is_zero(),
+        "inframonogenic": dirac_right(left).is_zero(),
+        "three_monogenic_left": dirac_left(dirac_left(left)).is_zero(),
+        "three_monogenic_right": dirac_right(dirac_right(right)).is_zero(),
+        "harmonic": lap.is_zero(),
+        "biharmonic": laplacian(lap).is_zero(),
+    }
 
 
 # -- algebraic identities -----------------------------------------------------

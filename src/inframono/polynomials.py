@@ -18,10 +18,9 @@ from .algebra import (
     Multivector,
     RationalLike,
     _as_fraction,
-    _blade_order_key,
     _check_dim,
-    blade_name,
-    blade_sign,
+    _format_terms,
+    _vector_signs,
 )
 
 Monomial = tuple[int, ...]
@@ -97,6 +96,19 @@ class CliffordPolynomial:
                     clean[mono] = value
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[Monomial, Multivector]) -> "CliffordPolynomial":
+        """Wrap terms already in canonical form, unchecked and uncopied.
+
+        For terms the library built itself: int exponent tuples of length
+        dim and non-zero Multivectors of that dim.  Outside input goes
+        through __init__.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CliffordPolynomial is immutable")
@@ -287,38 +299,19 @@ class CliffordPolynomial:
         return hash((self._dim, frozenset((m, c) for m, c in self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for mono in sorted(self._terms, key=monomial_sort_key):
-            coeff = self._terms[mono]
-            var_part = _format_monomial(mono)
-            for mask in sorted(coeff.terms(), key=_blade_order_key):
-                value = coeff.coefficient(mask)
-                pieces = [str(abs(value))]
-                if var_part:
-                    pieces.append(var_part)
-                if mask:
-                    pieces.append(blade_name(mask, self._dim))
-                body = "*".join(pieces)
-                if not chunks:
-                    chunks.append(("-" if value < 0 else "") + body)
-                else:
-                    chunks.append(("- " if value < 0 else "+ ") + body)
-        return " ".join(chunks)
+        groups = (
+            (_monomial_text(mono), self._terms[mono]._terms)
+            for mono in sorted(self._terms, key=monomial_sort_key)
+        )
+        return _format_terms(self._dim, groups)
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial({self._dim}, {self._terms!r})"
 
 
-def _format_monomial(mono: Monomial) -> str:
-    pieces = []
-    for j, e in enumerate(mono, start=1):
-        if e == 1:
-            pieces.append(f"x{j}")
-        elif e > 1:
-            pieces.append(f"x{j}^{e}")
-    return "*".join(pieces)
+def _monomial_text(mono: Monomial) -> str:
+    """The variable part of a printed term, each power led by ``*``; empty for 1."""
+    return "".join(f"*x{j}" if e == 1 else f"*x{j}^{e}" for j, e in enumerate(mono, 1) if e)
 
 
 def x_vector(m: int) -> CliffordPolynomial:
@@ -332,36 +325,45 @@ def x_vector(m: int) -> CliffordPolynomial:
     return CliffordPolynomial(m, terms)
 
 
-def _primitive_term(op: str, a: Monomial, mask: int, j: int) -> tuple[Monomial, int, int] | None:
-    """The axis-j term of op(x^a e_mask): its monomial, its blade and its integer coefficient.
+def _primitive_terms(op: str, a: Monomial, mask: int) -> list[tuple[Monomial, int, int]]:
+    """The terms of op(x^a e_mask) as (monomial, blade, integer coefficient), one per axis j.
 
     ``op`` is dirac_left (e_j d_j p), dirac_right ((d_j p) e_j), x_left
-    (x_j e_j p), x_right (x_j p e_j) or laplacian (d_j^2 p).  None when
-    the term vanishes.
+    (x_j e_j p), x_right (x_j p e_j) or laplacian (d_j^2 p), summed over
+    j.  Axes whose term vanishes are left out.
     """
-    e = a[j]
     if op == "laplacian":
-        return (a[:j] + (e - 2,) + a[j + 1:], mask, e * (e - 1)) if e >= 2 else None
-    bit = 1 << j
-    sign = blade_sign(bit, mask) if op.endswith("_left") else blade_sign(mask, bit)
+        return [(a[:j] + (e - 2,) + a[j + 1:], mask, e * (e - 1))
+                for j, e in enumerate(a) if e >= 2]
+    signs = _vector_signs(len(a))[op.endswith("_right")][mask]
     if op.startswith("x_"):
-        return a[:j] + (e + 1,) + a[j + 1:], mask ^ bit, sign
-    return (a[:j] + (e - 1,) + a[j + 1:], mask ^ bit, e * sign) if e else None
+        return [(a[:j] + (e + 1,) + a[j + 1:], mask ^ (1 << j), signs[j])
+                for j, e in enumerate(a)]
+    return [(a[:j] + (e - 1,) + a[j + 1:], mask ^ (1 << j), e * signs[j])
+            for j, e in enumerate(a) if e]
 
 
 def _apply_primitive(op: str, p: CliffordPolynomial) -> CliffordPolynomial:
-    """op applied to every term of p, summed over terms and axes."""
+    """op applied to every term of p, summed over terms and axes.
+
+    Sums integer numerators over p's common denominator, then drops the
+    terms that cancel, so the result is zero-pruned.
+    """
     m = p.dim
-    terms: dict[Monomial, dict[int, Fraction]] = {}
+    den = math.lcm(*(value.denominator for _, coeff in p.items() for _, value in coeff.items()))
+    sums: dict[Monomial, dict[int, int]] = {}
     for a, coeff in p.items():
         for mask, value in coeff.items():
-            for j in range(m):
-                term = _primitive_term(op, a, mask, j)
-                if term:
-                    b, blade, x = term
-                    out = terms.setdefault(b, {})
-                    out[blade] = out.get(blade, 0) + x * value
-    return CliffordPolynomial(m, {b: Multivector(m, tm) for b, tm in terms.items()})
+            x = value.numerator * (den // value.denominator)
+            for b, blade, c in _primitive_terms(op, a, mask):
+                out = sums.setdefault(b, {})
+                out[blade] = out.get(blade, 0) + c * x
+    terms = {}
+    for b, numerators in sums.items():
+        blades = {blade: Fraction(n, den) for blade, n in numerators.items() if n}
+        if blades:
+            terms[b] = Multivector._trusted(m, blades)
+    return CliffordPolynomial._trusted(m, terms)
 
 
 def mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
-from inframono import CliffordPolynomial, Multivector, monomial_basis
+from inframono import (
+    CliffordPolynomial,
+    Multivector,
+    PolynomialSyntaxError,
+    blade_name,
+    blade_sign,
+    monomial_basis,
+)
+from inframono.grammar import _Parser
+from inframono.polynomials import monomial_sort_key
 
 
 def random_rational(rng: random.Random, span: int = 9, max_den: int = 4) -> Fraction:
@@ -87,7 +97,7 @@ def reference_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
 
 # Reference operators built from general Multivector products and `partial`.
 # The library's polynomial operators and its compiled sector operators all
-# apply one per-term rule, `polynomials._primitive_term`; these share none of it.
+# apply one per-term rule, `polynomials._primitive_terms`; these share none of it.
 
 
 def _reference_dirac(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:
@@ -132,3 +142,153 @@ def reference_mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
 
 def reference_mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
     return _reference_mul_by_x(p, left=False)
+
+
+# Reference text boundary: rendering term by term through Fraction's own
+# abs and comparison, and parsing one validated polynomial per term summed
+# with `+`.  `str` and `parse_polynomial` render from blade tables and
+# parse into one term dict; these share neither.
+
+
+def _reference_terms(dim: int, var_part: str, coeff: Multivector, chunks: list[str]) -> None:
+    for mask in sorted(coeff.terms(), key=lambda mask: (bin(mask).count("1"), mask)):
+        value = coeff.coefficient(mask)
+        pieces = [str(abs(value))]
+        if var_part:
+            pieces.append(var_part)
+        if mask:
+            pieces.append(blade_name(mask, dim))
+        body = "*".join(pieces)
+        if not chunks:
+            chunks.append(("-" if value < 0 else "") + body)
+        else:
+            chunks.append(("- " if value < 0 else "+ ") + body)
+
+
+def reference_str(value: CliffordPolynomial | Multivector) -> str:
+    chunks: list[str] = []
+    if isinstance(value, Multivector):
+        _reference_terms(value.dim, "", value, chunks)
+    else:
+        terms = value.terms()
+        for mono in sorted(terms, key=monomial_sort_key):
+            var_part = "*".join(
+                f"x{j}" if e == 1 else f"x{j}^{e}" for j, e in enumerate(mono, 1) if e
+            )
+            _reference_terms(value.dim, var_part, terms[mono], chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<var>x\d+)"
+    r"|(?P<blade_braced>e\{[^{}]*\})"
+    r"|(?P<blade>e\d*)"
+    r"|(?P<op>[-+*/^()])"
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = match.lastgroup or ""
+        if kind != "ws":
+            tokens.append((kind, match.group(), pos))
+        pos = match.end()
+    return tokens
+
+
+class _ReferenceParser(_Parser):
+    """The library's token cursor, with a term-by-term polynomial sum."""
+
+    def parse_poly(self) -> CliffordPolynomial:
+        total = CliffordPolynomial.zero(self._m)
+        first = True
+        while True:
+            sign = 1
+            if first:
+                op = self._accept_op("+", "-")
+                if op == "-":
+                    sign = -1
+            else:
+                tok = self._peek()
+                if tok is None or (tok[0] == "op" and tok[1] == ")"):
+                    break
+                op = self._accept_op("+", "-")
+                if op is None:
+                    raise PolynomialSyntaxError("expected '+' or '-' between terms", tok[2])
+                if op == "-":
+                    sign = -1
+            if self._accept_op("("):
+                inner = self.parse_poly()
+                tok = self._peek()
+                if not self._accept_op(")"):
+                    raise PolynomialSyntaxError("expected ')'", tok[2] if tok else self._length)
+                total = total + inner * sign
+            else:
+                total = total + self._parse_term() * sign
+            first = False
+        return total
+
+    def _parse_term(self) -> CliffordPolynomial:
+        coeff = Fraction(1)
+        exponents = [0] * self._m
+        mask = 0
+        sign = 1
+        while True:
+            tok = self._peek()
+            if tok is None:
+                raise PolynomialSyntaxError("expected a factor", self._length)
+            kind, text, pos = tok
+            if kind == "int":
+                self._i += 1
+                coeff *= Fraction(*self._parse_rational(tok))
+            elif kind == "var":
+                self._i += 1
+                j = int(text[1:])
+                if not 1 <= j <= self._m:
+                    raise PolynomialSyntaxError(
+                        f"variable index {j} out of range for m={self._m}", pos
+                    )
+                power = 1
+                if self._accept_op("^"):
+                    power_tok = self._next()
+                    if power_tok[0] != "int":
+                        raise PolynomialSyntaxError("expected an integer exponent", power_tok[2])
+                    power = int(power_tok[1])
+                exponents[j - 1] += power
+            elif kind in ("blade", "blade_braced"):
+                self._i += 1
+                seen: set[int] = set()
+                for j in self._blade_indices(tok):
+                    if not 1 <= j <= self._m:
+                        raise PolynomialSyntaxError(
+                            f"blade index {j} out of range for m={self._m}", pos
+                        )
+                    if j in seen:
+                        raise PolynomialSyntaxError(f"repeated blade index {j}", pos)
+                    seen.add(j)
+                    bit = 1 << (j - 1)
+                    sign *= blade_sign(mask, bit)
+                    mask ^= bit
+            else:
+                raise PolynomialSyntaxError(f"expected a factor, found {text!r}", pos)
+            if not self._accept_op("*"):
+                break
+        coefficient = Multivector(self._m, {mask: coeff * sign})
+        return CliffordPolynomial(self._m, {tuple(exponents): coefficient})
+
+
+def reference_parse(text: str, m: int) -> CliffordPolynomial:
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise PolynomialSyntaxError("empty input", 0)
+    parser = _ReferenceParser(tokens, len(text), m)
+    poly = parser.parse_poly()
+    parser.expect_end()
+    return poly

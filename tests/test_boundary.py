@@ -1,0 +1,202 @@
+"""The text and construction boundary against the reference renderer and parser.
+
+`str` renders from per-dimension blade tables, `parse_polynomial` sums into
+one term dict, and the parser, `fischer._from_sectors` and the polynomial
+operators build values through the unchecked `_trusted` constructors.
+Here each is held to `helpers.reference_str`, `helpers.reference_parse`
+and the validating constructors.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from inframono import (
+    CliffordPolynomial,
+    KernelSampler,
+    Multivector,
+    PolynomialSyntaxError,
+    dirac_left,
+    dirac_right,
+    fischer_decompose,
+    from_coords,
+    laplacian,
+    mul_by_x_left,
+    mul_by_x_right,
+    parse_polynomial,
+    sandwich,
+    space_dim,
+)
+from inframono.algebra import _vector_signs, blade_sign
+from helpers import (
+    random_multivector,
+    random_polynomial,
+    random_rational,
+    reference_parse,
+    reference_str,
+)
+
+
+def _blade_text(rng: random.Random, m: int) -> str:
+    indices = rng.sample(range(1, m + 1), rng.randint(0, min(m, 3)))
+    if max(indices, default=0) > 9 or rng.random() < 0.2:
+        return "e{" + ",".join(map(str, indices)) + "}"
+    return "e" + "".join(map(str, indices))
+
+
+def _term_text(rng: random.Random, m: int) -> str:
+    factors = []
+    if rng.random() < 0.8:
+        value = abs(random_rational(rng))
+        text = f"{value.numerator}/{value.denominator}"
+        factors.append(text if rng.random() < 0.5 else str(value.numerator))
+    for j in rng.sample(range(1, m + 1), rng.randint(0, min(m, 3))):
+        factors.append(rng.choice([f"x{j}", f"x{j}^{rng.randint(0, 3)}"]))
+    factors += [_blade_text(rng, m) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(factors)
+    return "*".join(factors) or "1"
+
+
+def random_text(rng: random.Random, m: int, depth: int = 0) -> str:
+    """Grammar text with signed parenthesised groups, unsorted and repeated blades."""
+    chunks = []
+    for i in range(rng.randint(1, 4)):
+        sign = rng.choice(["", "-", "+"] if i == 0 else ["- ", "+ "])
+        if depth < 2 and rng.random() < 0.25:
+            body = "(" + random_text(rng, m, depth + 1) + ")"
+        else:
+            body = _term_text(rng, m)
+        chunks.append(sign + body)
+    return " ".join(chunks)
+
+
+def _texts(rng: random.Random, m: int) -> list[str]:
+    text = random_text(rng, m)
+    other = random_text(rng, m)
+    return [text, f"{text} - ({text})", f"-({text}) + ({other}) + ({text})"]
+
+
+def _outcome(parse, text: str, m: int):
+    try:
+        return "ok", parse(text, m)
+    except PolynomialSyntaxError as err:
+        return "error", str(err), err.position
+
+
+def assert_canonical(p: CliffordPolynomial) -> None:
+    """p equals its terms put through the validating constructors, and stores no zero."""
+    rebuilt = {mono: Multivector(p.dim, coeff.terms()) for mono, coeff in p.items()}
+    assert CliffordPolynomial(p.dim, rebuilt) == p
+    for mono, coeff in p.items():
+        assert type(mono) is tuple and len(mono) == p.dim
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert coeff.dim == p.dim and not coeff.is_zero()
+        for mask, value in coeff.items():
+            assert type(mask) is int and 0 <= mask < 1 << p.dim
+            assert type(value) is Fraction and value != 0
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_str_matches_reference(m):
+    rng = random.Random(100 + m)
+    assert str(CliffordPolynomial.zero(m)) == reference_str(CliffordPolynomial.zero(m)) == "0"
+    assert str(Multivector.zero(m)) == "0"
+    for _ in range(30):
+        p = random_polynomial(rng, m, rng.randint(0, 4 if m < 8 else 2), homogeneous=False)
+        assert str(p) == reference_str(p)
+        a = random_multivector(rng, m, max_terms=6)
+        assert str(a) == reference_str(a)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_parse_matches_reference(m):
+    rng = random.Random(200 + m)
+    cancelled = 0
+    for _ in range(25):
+        p = random_polynomial(rng, m, rng.randint(0, 3), homogeneous=False)
+        texts = [str(p)] + _texts(rng, m)
+        for text in texts:
+            got = parse_polynomial(text, m)
+            assert got == reference_parse(text, m), text
+            assert str(got) == reference_str(got)
+            assert_canonical(got)
+            cancelled += got.is_zero()
+        assert parse_polynomial(str(p), m) == p
+    assert cancelled >= 25
+
+
+def test_malformed_inputs_match_reference():
+    rng = random.Random(7)
+    alphabet = "@#xe{},()+-*/^0123456789 "
+    errors = 0
+    for _ in range(1500):
+        m = rng.randint(1, 12)
+        text = random_text(rng, m)
+        pos = rng.randrange(len(text) + 1)
+        edit = rng.choice(["delete", "insert", "replace", "truncate"])
+        if edit == "delete":
+            text = text[:pos] + text[pos + 1:]
+        elif edit == "insert":
+            text = text[:pos] + rng.choice(alphabet) + text[pos:]
+        elif edit == "replace":
+            text = text[:pos] + rng.choice(alphabet) + text[pos + 1:]
+        else:
+            text = text[:pos]
+        got = _outcome(parse_polynomial, text, m)
+        assert got == _outcome(reference_parse, text, m), text
+        errors += got[0] == "error"
+    assert errors >= 500
+
+
+def test_operator_results_are_canonical():
+    rng = random.Random(11)
+    ops = (dirac_left, dirac_right, laplacian, sandwich, mul_by_x_left, mul_by_x_right)
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        p = random_polynomial(rng, m, rng.randint(0, 4), homogeneous=False)
+        for op in ops:
+            assert_canonical(op(p))
+    # terms that cancel must be dropped, not stored as zero
+    sampler = KernelSampler(3, 3, seed=1)
+    assert dirac_left(sampler.left_monogenic()).is_zero()
+    assert dirac_right(sampler.right_monogenic()) == CliffordPolynomial.zero(3)
+    assert laplacian(sampler.harmonic()) == 0
+    assert sandwich(sampler.inframonogenic()) == CliffordPolynomial.zero(3)
+
+
+def test_sector_results_are_canonical():
+    rng = random.Random(12)
+    for m, k in ((2, 2), (2, 4), (3, 3), (3, 4), (4, 4)):
+        for _ in range(4):
+            result = fischer_decompose(random_polynomial(rng, m, k))
+            assert_canonical(result.infra_part)
+            assert_canonical(result.quotient)
+        vec = [random_rational(rng) if rng.random() < 0.3 else Fraction(0) for _ in range(space_dim(m, k))]
+        assert_canonical(from_coords(m, k, vec))
+    for kind in ("inframonogenic", "left_monogenic", "harmonic"):
+        assert_canonical(getattr(KernelSampler(3, 4, seed=2), kind)())
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        Multivector(2, {4: 1})
+    with pytest.raises(TypeError):
+        Multivector(2, {1: 0.5})
+    with pytest.raises(ValueError):
+        CliffordPolynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        CliffordPolynomial(2, {(1, -1): 1})
+    with pytest.raises(ValueError):
+        CliffordPolynomial(2, {(1, 0): Multivector(3, {0: 1})})
+    assert Multivector(2, {1: 0, 2: Fraction(1, 2)}).terms() == {2: Fraction(1, 2)}
+    assert CliffordPolynomial(2, {(1, 0): 0, (0, 1): 1}).terms() == {(0, 1): Multivector.scalar(2, 1)}
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_vector_sign_tables(m):
+    left, right = _vector_signs(m)
+    for mask in range(1 << m):
+        for j in range(m):
+            assert left[mask][j] == blade_sign(1 << j, mask)
+            assert right[mask][j] == blade_sign(mask, 1 << j)

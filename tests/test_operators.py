@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from inframono import operators
 from inframono import (
     CliffordPolynomial,
     KernelSampler,
@@ -16,11 +18,13 @@ from inframono import (
     is_k_monogenic,
     is_left_monogenic,
     is_right_monogenic,
+    is_two_sided_monogenic,
     kvector_system_residuals,
     laplacian,
     linear_monogenic_split,
     mul_by_x_left,
     mul_by_x_right,
+    predicate_report,
     sandwich,
     x_vector,
 )
@@ -179,6 +183,37 @@ class TestPredicates:
         sq = mul_by_x_left(mul_by_x_right(CliffordPolynomial.constant(2, 1)))
         assert not is_harmonic(sq)
         assert is_biharmonic(sq)
+
+
+def test_predicate_report_computes_each_chain_once(monkeypatch):
+    """Verdicts and key order of the single predicates, from 7 Dirac and 2 Laplacian calls."""
+    rng = random.Random(9)
+    sampler = KernelSampler(3, 4, seed=3)
+    inputs = [random_polynomial(rng, m, rng.randint(0, 6), homogeneous=False)
+              for m in (2, 3, 4) for _ in range(4)]
+    inputs += [CliffordPolynomial.zero(3), x_vector(3), sampler.left_monogenic(),
+               sampler.right_monogenic(), sampler.inframonogenic(), sampler.harmonic()]
+    expected = [{
+        "left_monogenic": is_left_monogenic(p),
+        "right_monogenic": is_right_monogenic(p),
+        "two_sided_monogenic": is_two_sided_monogenic(p),
+        "inframonogenic": is_inframonogenic(p),
+        "three_monogenic_left": is_k_monogenic(p, 3, "left"),
+        "three_monogenic_right": is_k_monogenic(p, 3, "right"),
+        "harmonic": is_harmonic(p),
+        "biharmonic": is_biharmonic(p),
+    } for p in inputs]
+    calls = Counter()
+    for name in ("dirac_left", "dirac_right", "laplacian"):
+        def counted(p, name=name, original=getattr(operators, name)):
+            calls[name] += 1
+            return original(p)
+
+        monkeypatch.setattr(operators, name, counted)
+    for p, want in zip(inputs, expected):
+        calls.clear()
+        assert list(predicate_report(p).items()) == list(want.items())
+        assert calls == {"dirac_left": 3, "dirac_right": 4, "laplacian": 2}
 
 
 class TestConjugateSum:
