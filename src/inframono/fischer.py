@@ -24,12 +24,13 @@ permutations of it.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
-as sparse integer columns, from `polynomials._primitive_terms`, the
-per-term rule the polynomial operators apply as well.  A
-splitting step reads its input's terms straight into sector-local
-integer coordinates over one common denominator, solves there, and
-writes the two parts back as polynomials.  The complete decomposition
-P(k) = sum_s x^s I(k-2s) x^s is that step applied again to each quotient.
+as sparse integer columns from `polynomials._axis_moves`, the
+per-monomial rule the polynomial operators apply as well; one
+monomial's moves serve all 2^m sectors.  A splitting step reads its
+input's terms straight into sector-local integer coordinates over one
+common denominator, solves there, and writes the two parts back as
+polynomials.  The complete decomposition P(k) = sum_s x^s I(k-2s) x^s
+is that step applied again to each quotient.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from .operators import (
 from .polynomials import (
     CliffordPolynomial,
     Monomial,
-    _primitive_terms,
+    _axis_moves,
+    _term_signs,
     euler,
     monomial_basis,
     monomial_count,
@@ -263,10 +265,10 @@ def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
 # -- compiled sector operators ----------------------------------------------------
 
 
-# Degree change of each operator.  The primitives act on x^a e_A one axis j
-# at a time, by `polynomials._primitive_terms`, as the polynomial operators
-# do; the composites apply their primitives first to last, so sandwich =
-# right Dirac after left Dirac and wrap_x = x_left after x_right, as in
+# Degree change of each operator.  The primitives move x^a one axis j at a
+# time, by `polynomials._axis_moves`, as the polynomial operators do; the
+# composites apply their primitives first to last, so sandwich = right
+# Dirac after left Dirac and wrap_x = x_left after x_right, as in
 # `operators.sandwich` and `wrap_x`.
 _DEGREE_SHIFT = {"dirac_left": -1, "dirac_right": -1, "x_left": 1, "x_right": 1,
                  "laplacian": -2, "sandwich": -2, "wrap_x": 2}
@@ -323,14 +325,14 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
     if k_out < 0:
         return tuple(tuple(() for _ in table) for _ in range(1 << m))
     row = _monomial_table(m, k_out)[0]
-    out = []
-    for v in range(1 << m):
-        block = []
-        for a, par in table:
-            terms = _primitive_terms(op, a, v ^ par)
-            block.append(tuple(sorted((row[b], x) for b, _, x in terms)))
-        out.append(tuple(block))
-    return tuple(out)
+    signs = _term_signs(op, m)
+    # each monomial's moves, sorted by output row once, serve every sector
+    moves = [(par, sorted((row[b], j, factor) for b, j, _, factor in _axis_moves(op, a)))
+             for a, par in table]
+    return tuple(
+        tuple(tuple((r, factor * signs[v ^ par][j]) for r, j, factor in col) for par, col in moves)
+        for v in range(1 << m)
+    )
 
 
 def _apply(columns: SectorColumns, vec: list[int], n_rows: int) -> list[int]:
@@ -555,12 +557,22 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
-    m = p.dim
-    k = p.degree()
+    return _split(p)[0]
+
+
+def _split(
+    p: CliffordPolynomial, coords: tuple[SectorVector, int] | None = None
+) -> tuple[DecompositionResult, tuple[SectorVector, int] | None]:
+    """`fischer_decompose` of a homogeneous p, given p's `_sector_coords` if known.
+
+    Also returns the quotient's coordinates as the reconstruction check
+    read them back (None below degree 2), for the tower's next step.
+    """
+    m, k = p.dim, p.degree()
     if k is None or k < 2:
         zero = CliffordPolynomial.zero(m)
-        return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
-    vec, den = _sector_coords(p, k)
+        return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True)), None
+    vec, den = coords or _sector_coords(p, k)
     solver_den, inverses = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
     weights = _weights(m, k)
@@ -594,7 +606,7 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
         for x, y, z in zip(a, _apply(t_cols, b, len(c)), c)
     )
     checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
-    return DecompositionResult(p, infra_part, quotient_part, checks)
+    return DecompositionResult(p, infra_part, quotient_part, checks), (got_quotient, dq)
 
 
 @dataclass(frozen=True)
@@ -627,15 +639,17 @@ def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers.
 
     Step 0 is `fischer_decompose(p)` and step s+1 decomposes step s's
-    quotient; layer s is step s's infra part.  The reconstruction and
-    sandwich_zero flags are the AND over all steps, and orthogonality is
-    step 0's.
+    quotient, starting from the coordinates step s read back from it;
+    layer s is step s's infra part.  The reconstruction and sandwich_zero
+    flags are the AND over all steps, and orthogonality is step 0's.
     """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")
-    steps = [fischer_decompose(p)]
+    step, coords = _split(p)
+    steps = [step]
     for _ in range((p.degree() or 0) // 2):
-        steps.append(fischer_decompose(steps[-1].quotient))
+        step, coords = _split(step.quotient, coords)
+        steps.append(step)
     checks = DecompositionChecks(
         all(step.checks.reconstruction for step in steps),
         all(step.checks.sandwich_zero for step in steps),

@@ -7,8 +7,9 @@ tolerances.  The central object is the sandwich operator
 
 the composition of the left and right Dirac actions in either order.
 Polynomials annihilated by it are called inframonogenic.  Both Dirac
-actions and the Laplacian apply `polynomials._primitive_terms` to each term,
-the rule the compiled sector operators of `fischer` are built from.
+actions and the Laplacian apply `polynomials._axis_moves` once to each
+monomial and then to all of its blades; the compiled sector operators of
+`fischer` are built from the same rule.
 """
 
 from __future__ import annotations

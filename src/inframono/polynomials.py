@@ -325,39 +325,49 @@ def x_vector(m: int) -> CliffordPolynomial:
     return CliffordPolynomial(m, terms)
 
 
-def _primitive_terms(op: str, a: Monomial, mask: int) -> list[tuple[Monomial, int, int]]:
-    """The terms of op(x^a e_mask) as (monomial, blade, integer coefficient), one per axis j.
+def _axis_moves(op: str, a: Monomial) -> list[tuple[Monomial, int, int, int]]:
+    """How op moves x^a, as (output monomial, axis j, blade bit, factor), one per axis.
 
     ``op`` is dirac_left (e_j d_j p), dirac_right ((d_j p) e_j), x_left
     (x_j e_j p), x_right (x_j p e_j) or laplacian (d_j^2 p), summed over
-    j.  Axes whose term vanishes are left out.
+    j.  The axis-j term of op(x^a e_A) is factor * sign * x^b e_(A xor bit)
+    with sign = _term_signs(op, m)[A][j]; only the sign depends on the
+    blade.  Axes whose term vanishes are left out.
     """
     if op == "laplacian":
-        return [(a[:j] + (e - 2,) + a[j + 1:], mask, e * (e - 1))
+        return [(a[:j] + (e - 2,) + a[j + 1:], j, 0, e * (e - 1))
                 for j, e in enumerate(a) if e >= 2]
-    signs = _vector_signs(len(a))[op.endswith("_right")][mask]
     if op.startswith("x_"):
-        return [(a[:j] + (e + 1,) + a[j + 1:], mask ^ (1 << j), signs[j])
-                for j, e in enumerate(a)]
-    return [(a[:j] + (e - 1,) + a[j + 1:], mask ^ (1 << j), e * signs[j])
-            for j, e in enumerate(a) if e]
+        return [(a[:j] + (e + 1,) + a[j + 1:], j, 1 << j, 1) for j, e in enumerate(a)]
+    return [(a[:j] + (e - 1,) + a[j + 1:], j, 1 << j, e) for j, e in enumerate(a) if e]
+
+
+def _term_signs(op: str, m: int) -> tuple[tuple[int, ...], ...]:
+    """Sign of op's axis-j term on e_A, indexed [A][j]: e_j e_A, e_A e_j, or 1 for the Laplacian."""
+    if op == "laplacian":
+        return ((1,) * m,) * (1 << m)
+    return _vector_signs(m)[op.endswith("_right")]
 
 
 def _apply_primitive(op: str, p: CliffordPolynomial) -> CliffordPolynomial:
     """op applied to every term of p, summed over terms and axes.
 
+    Reads each monomial's moves once and applies them to all its blades.
     Sums integer numerators over p's common denominator, then drops the
     terms that cancel, so the result is zero-pruned.
     """
     m = p.dim
+    signs = _term_signs(op, m)
     den = math.lcm(*(value.denominator for _, coeff in p.items() for _, value in coeff.items()))
     sums: dict[Monomial, dict[int, int]] = {}
     for a, coeff in p.items():
-        for mask, value in coeff.items():
-            x = value.numerator * (den // value.denominator)
-            for b, blade, c in _primitive_terms(op, a, mask):
-                out = sums.setdefault(b, {})
-                out[blade] = out.get(blade, 0) + c * x
+        blades = [(mask, value.numerator * (den // value.denominator), signs[mask])
+                  for mask, value in coeff.items()]
+        for b, j, bit, factor in _axis_moves(op, a):
+            out = sums.setdefault(b, {})
+            for mask, x, sign in blades:
+                blade = mask ^ bit
+                out[blade] = out.get(blade, 0) + factor * sign[j] * x
     terms = {}
     for b, numerators in sums.items():
         blades = {blade: Fraction(n, den) for blade, n in numerators.items() if n}

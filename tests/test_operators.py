@@ -22,6 +22,7 @@ from inframono import (
     kvector_system_residuals,
     laplacian,
     linear_monogenic_split,
+    monomial_basis,
     mul_by_x_left,
     mul_by_x_right,
     predicate_report,
@@ -30,6 +31,7 @@ from inframono import (
 )
 from helpers import (
     random_polynomial,
+    random_rational,
     random_scalar_polynomial,
     reference_dirac_left,
     reference_dirac_right,
@@ -108,21 +110,49 @@ class TestSandwich:
             assert sandwich(p) == sandwich_by_double_sum(p)
 
 
+TERM_RULE_PAIRS = [
+    (dirac_left, reference_dirac_left),
+    (dirac_right, reference_dirac_right),
+    (laplacian, reference_laplacian),
+    (mul_by_x_left, reference_mul_by_x_left),
+    (mul_by_x_right, reference_mul_by_x_right),
+]
+
+
 def test_term_rule_oracle():
     """The five term-rule operators equal their Multivector-product definitions."""
-    pairs = [
-        (dirac_left, reference_dirac_left),
-        (dirac_right, reference_dirac_right),
-        (laplacian, reference_laplacian),
-        (mul_by_x_left, reference_mul_by_x_left),
-        (mul_by_x_right, reference_mul_by_x_right),
-    ]
     rng = random.Random(12)
     for i in range(120):
         m = 1 + i % 6
         p = random_polynomial(rng, m, rng.randint(0, 5), homogeneous=False)
-        for op, reference in pairs:
+        for op, reference in TERM_RULE_PAIRS:
             assert op(p) == reference(p), (op.__name__, p)
+
+
+def test_term_rule_oracle_many_blades():
+    """As test_term_rule_oracle, at the check workload's m = 7 and 8 with dense blades.
+
+    Each input's first monomial carries all 2^m blades, and three monomials
+    one unit away from it and one a degree below carry at least a quarter
+    of them each, so many (monomial, blade, axis) terms land in one output
+    slot.
+    """
+    rng = random.Random(14)
+    for m, degree in ((7, 2), (7, 3), (8, 2), (8, 3)):
+        first = rng.choice(monomial_basis(m, degree))
+        near = [b for b in monomial_basis(m, degree)
+                if sum(abs(x - y) for x, y in zip(b, first)) == 2]
+        lower = [b for b in monomial_basis(m, degree - 1) if all(x <= y for x, y in zip(b, first))]
+        monos = [first] + rng.sample(near, 3) + [rng.choice(lower)]
+        terms = {}
+        for i, mono in enumerate(monos):
+            n = 1 << m if i == 0 else rng.randint(1 << (m - 2), 1 << m)
+            masks = rng.sample(range(1 << m), n)
+            terms[mono] = Multivector(m, {mask: random_rational(rng) or 1 for mask in masks})
+        p = CliffordPolynomial(m, terms)
+        assert len(p.coefficient(first).terms()) == 1 << m
+        for op, reference in TERM_RULE_PAIRS:
+            assert op(p) == reference(p), (op.__name__, m, degree)
 
 
 class TestLaplacian:

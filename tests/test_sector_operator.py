@@ -13,6 +13,7 @@ from inframono import (
     fischer_decompose,
     fischer_tower,
     from_coords,
+    monomial_count,
     poly_basis,
     sandwich_matrix,
     wrap_x,
@@ -30,7 +31,7 @@ from helpers import (
 )
 
 # The product-based references, not the library's polynomial operators,
-# which apply the same per-term rule as the compiled columns.
+# which apply the same per-monomial rule (`_axis_moves`) as the compiled columns.
 REFERENCE_OPERATORS = {
     "dirac_left": (reference_dirac_left, -1),
     "dirac_right": (reference_dirac_right, -1),
@@ -127,3 +128,20 @@ def test_tower_flags_catch_a_corrupted_lower_layer(monkeypatch):
     _perturbed_solver(monkeypatch, 2, 2)
     tower = fischer_tower(p)
     assert tower.checks.sandwich_zero is False and not tower.checks.all_ok
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_columns_ascend_and_hold_nonzero_ints(m):
+    """Every column of every sector block is strictly ascending by row and holds nonzero ints."""
+    for op, (_, shift) in REFERENCE_OPERATORS.items():
+        for k in range(5):
+            n_rows = monomial_count(m, k + shift) if k + shift >= 0 else 0
+            blocks = sector_operator(op, m, k)
+            assert len(blocks) == 1 << m
+            for block in blocks:
+                assert len(block) == monomial_count(m, k)
+                for col in block:
+                    rows = [r for r, _ in col]
+                    assert rows == sorted(set(rows)), (op, k)
+                    assert all(0 <= r < n_rows for r in rows)
+                    assert all(type(x) is int and x for _, x in col), (op, k)
