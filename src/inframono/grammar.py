@@ -59,13 +59,6 @@ class _Parser:
     def _peek(self) -> tuple[str, str, int] | None:
         return self._tokens[self._i] if self._i < len(self._tokens) else None
 
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise PolynomialSyntaxError("unexpected end of input", self._length)
-        self._i += 1
-        return tok
-
     def _accept_op(self, *ops: str) -> str | None:
         tok = self._peek()
         if tok is not None and tok[0] == "op" and tok[1] in ops:
@@ -99,21 +92,24 @@ class _Parser:
                         "expected ')'", tok[2] if tok else self._length
                     )
             else:
-                mono, mask, value = self._parse_term()
-                blades = acc.setdefault(mono, {})
-                blades[mask] = blades.get(mask, 0) + term_sign * value
+                mono, mask, value = self._parse_term(term_sign)
+                blades = acc.get(mono)
+                if blades is None:
+                    acc[mono] = {mask: value}
+                elif mask in blades:
+                    blades[mask] += value
+                else:
+                    blades[mask] = value
             first = False
 
-    def _parse_rational(self, first: tuple[str, str, int]) -> tuple[int, int]:
-        """An integer or ``n/d`` literal as (numerator, denominator)."""
-        if not self._accept_op("/"):
-            return int(first[1]), 1
-        tok = self._next()
-        if tok[0] != "int":
-            raise PolynomialSyntaxError("expected an integer denominator", tok[2])
-        if int(tok[1]) == 0:
-            raise PolynomialSyntaxError("zero denominator", tok[2])
-        return int(first[1]), int(tok[1])
+    def _int_after(self, i: int, message: str) -> tuple[int, int]:
+        """The integer token after the '/' or '^' at i, as (value, position)."""
+        if i + 1 == len(self._tokens):
+            raise PolynomialSyntaxError("unexpected end of input", self._length)
+        kind, text, pos = self._tokens[i + 1]
+        if kind != "int":
+            raise PolynomialSyntaxError(message, pos)
+        return int(text), pos
 
     def _blade_indices(self, tok: tuple[str, str, int]) -> list[int]:
         kind, text, pos = tok
@@ -130,38 +126,42 @@ class _Parser:
             indices.append(int(piece))
         return indices
 
-    def _parse_term(self) -> tuple[Monomial, int, Fraction]:
-        """One product of factors: its monomial, its blade and its signed coefficient."""
+    def _parse_term(self, sign: int) -> tuple[Monomial, int, Fraction]:
+        """One product of factors: its monomial, its blade and sign times its coefficient.
+
+        Walks the tokens with a local index; only operator tokens have the
+        texts ``/``, ``^`` and ``*``, so the text alone identifies them.
+        """
+        tokens, count, i = self._tokens, len(self._tokens), self._i
         num = den = 1
         exponents = [0] * self._m
         mask = 0
-        sign = 1
         while True:
-            tok = self._peek()
-            if tok is None:
+            if i == count:
                 raise PolynomialSyntaxError("expected a factor", self._length)
+            tok = tokens[i]
             kind, text, pos = tok
+            i += 1
             if kind == "int":
-                self._i += 1
-                n, d = self._parse_rational(tok)
-                num *= n
-                den *= d
+                num *= int(text)
+                if i < count and tokens[i][1] == "/":
+                    d, d_pos = self._int_after(i, "expected an integer denominator")
+                    if d == 0:
+                        raise PolynomialSyntaxError("zero denominator", d_pos)
+                    den *= d
+                    i += 2
             elif kind == "var":
-                self._i += 1
                 j = int(text[1:])
                 if not 1 <= j <= self._m:
                     raise PolynomialSyntaxError(
                         f"variable index {j} out of range for m={self._m}", pos
                     )
-                power = 1
-                if self._accept_op("^"):
-                    power_tok = self._next()
-                    if power_tok[0] != "int":
-                        raise PolynomialSyntaxError("expected an integer exponent", power_tok[2])
-                    power = int(power_tok[1])
-                exponents[j - 1] += power
+                if i < count and tokens[i][1] == "^":
+                    exponents[j - 1] += self._int_after(i, "expected an integer exponent")[0]
+                    i += 2
+                else:
+                    exponents[j - 1] += 1
             elif kind in ("blade", "blade_braced"):
-                self._i += 1
                 seen: set[int] = set()
                 for j in self._blade_indices(tok):
                     if not 1 <= j <= self._m:
@@ -175,8 +175,11 @@ class _Parser:
                     mask ^= 1 << (j - 1)
             else:
                 raise PolynomialSyntaxError(f"expected a factor, found {text!r}", pos)
-            if not self._accept_op("*"):
+            if i < count and tokens[i][1] == "*":
+                i += 1
+            else:
                 break
+        self._i = i
         return tuple(exponents), mask, Fraction(sign * num, den)
 
     def expect_end(self) -> None:

@@ -1,6 +1,6 @@
 """Dirac-type differential operators on Clifford polynomials.
 
-Everything here is exact: the predicates are rational zero tests with no
+Everything here is exact: the predicates are zero tests with no
 tolerances.  The central object is the sandwich operator
 
     p  ->  sum_{i,j} e_i (d_i d_j p) e_j,
@@ -10,6 +10,11 @@ Polynomials annihilated by it are called inframonogenic.  Both Dirac
 actions and the Laplacian apply `polynomials._axis_moves` once to each
 monomial and then to all of its blades; the compiled sector operators of
 `fischer` are built from the same rule.
+
+The predicates run that rule's integer core, `polynomials._apply_integer`,
+on p's numerators over its common denominator and build no Fraction.
+Every operator has an integer matrix, so scaling p by that denominator
+cannot change whether a chain of them sends p to zero.
 """
 
 from __future__ import annotations
@@ -18,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Multivector
-from .polynomials import CliffordPolynomial, _apply_primitive, mul_by_x_left, mul_by_x_right
+from .polynomials import (
+    CliffordPolynomial,
+    _apply_integer,
+    _apply_primitive,
+    _numerators,
+    mul_by_x_left,
+    mul_by_x_right,
+)
 
 
 def dirac_left(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -57,12 +69,20 @@ def conjugate_sum(p: CliffordPolynomial) -> CliffordPolynomial:
 # -- predicates --------------------------------------------------------------
 
 
+def _vanishes(p: CliffordPolynomial, *ops: str) -> bool:
+    """Whether applying ops in turn sends p to zero, decided on p's integer numerators."""
+    numerators = _numerators(p)[1]
+    for op in ops:
+        numerators = _apply_integer(op, p.dim, numerators)
+    return not numerators
+
+
 def is_left_monogenic(p: CliffordPolynomial) -> bool:
-    return dirac_left(p).is_zero()
+    return _vanishes(p, "dirac_left")
 
 
 def is_right_monogenic(p: CliffordPolynomial) -> bool:
-    return dirac_right(p).is_zero()
+    return _vanishes(p, "dirac_right")
 
 
 def is_two_sided_monogenic(p: CliffordPolynomial) -> bool:
@@ -70,7 +90,7 @@ def is_two_sided_monogenic(p: CliffordPolynomial) -> bool:
 
 
 def is_inframonogenic(p: CliffordPolynomial) -> bool:
-    return sandwich(p).is_zero()
+    return _vanishes(p, "dirac_left", "dirac_right")
 
 
 def is_k_monogenic(p: CliffordPolynomial, k: int, side: str = "both") -> bool:
@@ -79,41 +99,42 @@ def is_k_monogenic(p: CliffordPolynomial, k: int, side: str = "both") -> bool:
         raise ValueError(f"order must be positive, got {k}")
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
-    for action_side, action in (("left", dirac_left), ("right", dirac_right)):
-        if side in (action_side, "both"):
-            q = p
-            for _ in range(k):
-                q = action(q)
-            if not q.is_zero():
-                return False
-    return True
+    return all(_vanishes(p, *(f"dirac_{action_side}",) * k)
+               for action_side in ("left", "right") if side in (action_side, "both"))
 
 
 def is_harmonic(p: CliffordPolynomial) -> bool:
-    return laplacian(p).is_zero()
+    return _vanishes(p, "laplacian")
 
 
 def is_biharmonic(p: CliffordPolynomial) -> bool:
-    return laplacian(laplacian(p)).is_zero()
+    return _vanishes(p, "laplacian", "laplacian")
 
 
 def predicate_report(p: CliffordPolynomial) -> dict[str, bool]:
     """All predicate verdicts in a fixed, printable order.
 
     The verdicts are those of the single predicates above (the three
-    monogenic ones with k = 3), from each operator chain computed once:
-    D_L, D_L^2, D_L^3, D_R, D_R^2, D_R^3, D_R D_L, Lap and Lap^2.
+    monogenic ones with k = 3).  p's numerators are read once, and each
+    operator chain is computed once on them with the integer core:
+    D_L, D_L^2, D_L^3, D_R, D_R^2, D_R^3, D_R D_L, Lap and Lap^2.  Each
+    verdict is whether its chain's result is empty.
     """
-    left, right, lap = dirac_left(p), dirac_right(p), laplacian(p)
+    m = p.dim
+    numerators = _numerators(p)[1]
+    left, right, lap = (_apply_integer(op, m, numerators)
+                        for op in ("dirac_left", "dirac_right", "laplacian"))
     return {
-        "left_monogenic": left.is_zero(),
-        "right_monogenic": right.is_zero(),
-        "two_sided_monogenic": left.is_zero() and right.is_zero(),
-        "inframonogenic": dirac_right(left).is_zero(),
-        "three_monogenic_left": dirac_left(dirac_left(left)).is_zero(),
-        "three_monogenic_right": dirac_right(dirac_right(right)).is_zero(),
-        "harmonic": lap.is_zero(),
-        "biharmonic": laplacian(lap).is_zero(),
+        "left_monogenic": not left,
+        "right_monogenic": not right,
+        "two_sided_monogenic": not left and not right,
+        "inframonogenic": not _apply_integer("dirac_right", m, left),
+        "three_monogenic_left":
+            not _apply_integer("dirac_left", m, _apply_integer("dirac_left", m, left)),
+        "three_monogenic_right":
+            not _apply_integer("dirac_right", m, _apply_integer("dirac_right", m, right)),
+        "harmonic": not lap,
+        "biharmonic": not _apply_integer("laplacian", m, lap),
     }
 
 

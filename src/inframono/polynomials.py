@@ -349,30 +349,53 @@ def _term_signs(op: str, m: int) -> tuple[tuple[int, ...], ...]:
     return _vector_signs(m)[op.endswith("_right")]
 
 
-def _apply_primitive(op: str, p: CliffordPolynomial) -> CliffordPolynomial:
-    """op applied to every term of p, summed over terms and axes.
+_Numerators = dict[Monomial, dict[int, int]]
+
+
+def _numerators(p: CliffordPolynomial) -> tuple[int, _Numerators]:
+    """p's coefficients over their common denominator: (den, {monomial: {blade: numerator}})."""
+    den = math.lcm(*(value.denominator
+                     for coeff in p._terms.values() for value in coeff._terms.values()))
+    return den, {a: {mask: value.numerator * (den // value.denominator)
+                     for mask, value in coeff._terms.items()}
+                 for a, coeff in p._terms.items()}
+
+
+def _apply_integer(op: str, m: int, numerators: _Numerators) -> _Numerators:
+    """op applied to integer numerators as returned by _numerators, zero-pruned.
 
     Reads each monomial's moves once and applies them to all its blades.
-    Sums integer numerators over p's common denominator, then drops the
-    terms that cancel, so the result is zero-pruned.
+    Every op has integer factors and signs, so the result is exact and
+    holds the numerators of op(p) over the same denominator; it is empty
+    exactly when op(p) = 0.
     """
-    m = p.dim
     signs = _term_signs(op, m)
-    den = math.lcm(*(value.denominator for _, coeff in p.items() for _, value in coeff.items()))
-    sums: dict[Monomial, dict[int, int]] = {}
-    for a, coeff in p.items():
-        blades = [(mask, value.numerator * (den // value.denominator), signs[mask])
-                  for mask, value in coeff.items()]
+    sums: _Numerators = {}
+    for a, coeff in numerators.items():
+        blades = [(mask, x, signs[mask]) for mask, x in coeff.items()]
         for b, j, bit, factor in _axis_moves(op, a):
             out = sums.setdefault(b, {})
             for mask, x, sign in blades:
                 blade = mask ^ bit
                 out[blade] = out.get(blade, 0) + factor * sign[j] * x
-    terms = {}
-    for b, numerators in sums.items():
-        blades = {blade: Fraction(n, den) for blade, n in numerators.items() if n}
+    result = {}
+    for b, blades in sums.items():
+        blades = {blade: n for blade, n in blades.items() if n}
         if blades:
-            terms[b] = Multivector._trusted(m, blades)
+            result[b] = blades
+    return result
+
+
+def _apply_primitive(op: str, p: CliffordPolynomial) -> CliffordPolynomial:
+    """op applied to every term of p, summed over terms and axes.
+
+    The integer core _apply_integer does the work on p's numerators; one
+    Fraction per output term puts back the common denominator.
+    """
+    m = p.dim
+    den, numerators = _numerators(p)
+    terms = {b: Multivector._trusted(m, {blade: Fraction(n, den) for blade, n in blades.items()})
+             for b, blades in _apply_integer(op, m, numerators).items()}
     return CliffordPolynomial._trusted(m, terms)
 
 

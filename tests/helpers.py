@@ -14,7 +14,6 @@ from inframono import (
     blade_sign,
     monomial_basis,
 )
-from inframono.grammar import _Parser
 from inframono.polynomials import monomial_sort_key
 
 
@@ -146,8 +145,9 @@ def reference_mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
 
 # Reference text boundary: rendering term by term through Fraction's own
 # abs and comparison, and parsing one validated polynomial per term summed
-# with `+`.  `str` and `parse_polynomial` render from blade tables and
-# parse into one term dict; these share neither.
+# with `+`, behind its own tokenizer and token cursor.  `str` and
+# `parse_polynomial` render from blade tables and parse into one term dict
+# with a per-term token walk; these share none of that.
 
 
 def _reference_terms(dim: int, var_part: str, coeff: Multivector, chunks: list[str]) -> None:
@@ -203,8 +203,62 @@ def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _ReferenceParser(_Parser):
-    """The library's token cursor, with a term-by-term polynomial sum."""
+class _ReferenceParser:
+    """A token cursor and a term-by-term polynomial sum, sharing no code with grammar._Parser."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], length: int, m: int):
+        self._tokens = tokens
+        self._length = length
+        self._m = m
+        self._i = 0
+
+    def _peek(self) -> tuple[str, str, int] | None:
+        return self._tokens[self._i] if self._i < len(self._tokens) else None
+
+    def _next(self) -> tuple[str, str, int]:
+        tok = self._peek()
+        if tok is None:
+            raise PolynomialSyntaxError("unexpected end of input", self._length)
+        self._i += 1
+        return tok
+
+    def _accept_op(self, *ops: str) -> str | None:
+        tok = self._peek()
+        if tok is not None and tok[0] == "op" and tok[1] in ops:
+            self._i += 1
+            return tok[1]
+        return None
+
+    def _parse_rational(self, first: tuple[str, str, int]) -> tuple[int, int]:
+        """An integer or ``n/d`` literal as (numerator, denominator)."""
+        if not self._accept_op("/"):
+            return int(first[1]), 1
+        tok = self._next()
+        if tok[0] != "int":
+            raise PolynomialSyntaxError("expected an integer denominator", tok[2])
+        if int(tok[1]) == 0:
+            raise PolynomialSyntaxError("zero denominator", tok[2])
+        return int(first[1]), int(tok[1])
+
+    def _blade_indices(self, tok: tuple[str, str, int]) -> list[int]:
+        kind, text, pos = tok
+        if kind == "blade":
+            return [int(ch) for ch in text[1:]]
+        body = text[2:-1].strip()
+        if not body:
+            return []
+        indices = []
+        for piece in body.split(","):
+            piece = piece.strip()
+            if not piece.isdigit():
+                raise PolynomialSyntaxError(f"bad blade index {piece!r}", pos)
+            indices.append(int(piece))
+        return indices
+
+    def expect_end(self) -> None:
+        tok = self._peek()
+        if tok is not None:
+            raise PolynomialSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
 
     def parse_poly(self) -> CliffordPolynomial:
         total = CliffordPolynomial.zero(self._m)

@@ -100,6 +100,39 @@ class TestParseErrors:
             parse_polynomial("(x1 + x2", 2)
 
 
+# Every PolynomialSyntaxError raise site in grammar.py, with its exact
+# message and position: (text, m, message, position).
+PARSE_ERRORS = [
+    ("x1 + @", 2, "unexpected character '@'", 5),
+    ("1/", 2, "unexpected end of input", 2),
+    ("x1^", 2, "unexpected end of input", 3),
+    ("x1 x2", 2, "expected '+' or '-' between terms", 3),
+    ("-(x1 + x2", 2, "expected ')'", 9),
+    ("3/x1", 2, "expected an integer denominator", 2),
+    ("x1 + 2/0*x2", 2, "zero denominator", 7),
+    ("x1*e{1,a}", 2, "bad blade index 'a'", 3),
+    ("e{1,}", 2, "bad blade index ''", 0),
+    ("x1*", 2, "expected a factor", 3),
+    ("x1 +", 2, "expected a factor", 4),
+    ("x1*+x2", 2, "expected a factor, found '+'", 3),
+    ("(x1 + )", 2, "expected a factor, found ')'", 6),
+    ("x2 + x3", 2, "variable index 3 out of range for m=2", 5),
+    ("x1^e1", 2, "expected an integer exponent", 3),
+    ("2*e{1,3}", 2, "blade index 3 out of range for m=2", 2),
+    ("x1*e121", 3, "repeated blade index 1", 3),
+    ("x1 + x2)", 2, "unexpected trailing input ')'", 7),
+    ("  ", 2, "empty input", 0),
+]
+
+
+@pytest.mark.parametrize("text, m, message, position", PARSE_ERRORS)
+def test_parse_error_message_and_position(text, m, message, position):
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(text, m)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 class TestPrinting:
     def test_known_forms(self):
         assert str(CliffordPolynomial.constant(2, 5)) == "5"

@@ -129,8 +129,8 @@ def test_term_rule_oracle():
             assert op(p) == reference(p), (op.__name__, p)
 
 
-def test_term_rule_oracle_many_blades():
-    """As test_term_rule_oracle, at the check workload's m = 7 and 8 with dense blades.
+def many_blade_inputs():
+    """Inputs at the check workload's m = 7 and 8 with dense blades, as (m, degree, p).
 
     Each input's first monomial carries all 2^m blades, and three monomials
     one unit away from it and one a degree below carry at least a quarter
@@ -138,6 +138,7 @@ def test_term_rule_oracle_many_blades():
     slot.
     """
     rng = random.Random(14)
+    inputs = []
     for m, degree in ((7, 2), (7, 3), (8, 2), (8, 3)):
         first = rng.choice(monomial_basis(m, degree))
         near = [b for b in monomial_basis(m, degree)
@@ -151,6 +152,13 @@ def test_term_rule_oracle_many_blades():
             terms[mono] = Multivector(m, {mask: random_rational(rng) or 1 for mask in masks})
         p = CliffordPolynomial(m, terms)
         assert len(p.coefficient(first).terms()) == 1 << m
+        inputs.append((m, degree, p))
+    return inputs
+
+
+def test_term_rule_oracle_many_blades():
+    """As test_term_rule_oracle, on many_blade_inputs."""
+    for m, degree, p in many_blade_inputs():
         for op, reference in TERM_RULE_PAIRS:
             assert op(p) == reference(p), (op.__name__, m, degree)
 
@@ -215,31 +223,88 @@ class TestPredicates:
         assert is_biharmonic(sq)
 
 
+def reference_report(p):
+    """predicate_report's verdicts from the Multivector-product reference operators."""
+    left, right, lap = reference_dirac_left(p), reference_dirac_right(p), reference_laplacian(p)
+    return {
+        "left_monogenic": left.is_zero(),
+        "right_monogenic": right.is_zero(),
+        "two_sided_monogenic": left.is_zero() and right.is_zero(),
+        "inframonogenic": reference_dirac_right(left).is_zero(),
+        "three_monogenic_left": reference_dirac_left(reference_dirac_left(left)).is_zero(),
+        "three_monogenic_right": reference_dirac_right(reference_dirac_right(right)).is_zero(),
+        "harmonic": lap.is_zero(),
+        "biharmonic": reference_laplacian(lap).is_zero(),
+    }
+
+
+def assert_predicates_match_reference(p):
+    want = reference_report(p)
+    assert list(predicate_report(p).items()) == list(want.items()), p
+    assert is_left_monogenic(p) == want["left_monogenic"]
+    assert is_right_monogenic(p) == want["right_monogenic"]
+    assert is_two_sided_monogenic(p) == want["two_sided_monogenic"]
+    assert is_inframonogenic(p) == want["inframonogenic"]
+    assert is_harmonic(p) == want["harmonic"]
+    assert is_biharmonic(p) == want["biharmonic"]
+    powers = {}
+    for side, reference in (("left", reference_dirac_left), ("right", reference_dirac_right)):
+        q = p
+        for k in (1, 2, 3):
+            q = reference(q)
+            powers[side, k] = q.is_zero()
+            assert is_k_monogenic(p, k, side) == powers[side, k], (side, k, p)
+    for k in (1, 2, 3):
+        assert is_k_monogenic(p, k) == (powers["left", k] and powers["right", k])
+    return want
+
+
+def test_predicates_match_reference_operators():
+    """predicate_report and every is_* predicate against the reference operators.
+
+    Inhomogeneous inputs at m = 1..8 with mixed denominators, kernel
+    samples (so that True verdicts occur) scaled by odd denominators, and
+    the dense-blade inputs at m = 7 and 8.
+    """
+    rng = random.Random(21)
+    inputs = []
+    for m in range(1, 9):
+        for _ in range(6 if m <= 4 else 3):
+            degree = rng.randint(0, 6 if m <= 4 else 3)
+            p = random_polynomial(rng, m, degree, homogeneous=False)
+            q = random_polynomial(rng, m, rng.randint(0, degree), homogeneous=False)
+            inputs.append(p + q / rng.choice((3, 5, 7, 11)))
+    for m, k in ((2, 5), (3, 4), (4, 3)):
+        sampler = KernelSampler(m, k, seed=m)
+        for draw in (sampler.left_monogenic, sampler.right_monogenic,
+                     sampler.two_sided_monogenic, sampler.inframonogenic, sampler.harmonic):
+            inputs.append(draw() / rng.choice((1, 3, 7)))
+    inputs += [p for _, _, p in many_blade_inputs()]
+    inputs += [CliffordPolynomial.zero(3), x_vector(5)]
+    seen = Counter()
+    for p in inputs:
+        for name, verdict in assert_predicates_match_reference(p).items():
+            seen[name, verdict] += 1
+    assert all(seen[name, verdict] for name, _ in seen for verdict in (True, False)), seen
+
+
 def test_predicate_report_computes_each_chain_once(monkeypatch):
-    """Verdicts and key order of the single predicates, from 7 Dirac and 2 Laplacian calls."""
+    """Reference verdicts and key order, from 7 Dirac and 2 Laplacian integer-core calls."""
     rng = random.Random(9)
     sampler = KernelSampler(3, 4, seed=3)
     inputs = [random_polynomial(rng, m, rng.randint(0, 6), homogeneous=False)
               for m in (2, 3, 4) for _ in range(4)]
     inputs += [CliffordPolynomial.zero(3), x_vector(3), sampler.left_monogenic(),
                sampler.right_monogenic(), sampler.inframonogenic(), sampler.harmonic()]
-    expected = [{
-        "left_monogenic": is_left_monogenic(p),
-        "right_monogenic": is_right_monogenic(p),
-        "two_sided_monogenic": is_two_sided_monogenic(p),
-        "inframonogenic": is_inframonogenic(p),
-        "three_monogenic_left": is_k_monogenic(p, 3, "left"),
-        "three_monogenic_right": is_k_monogenic(p, 3, "right"),
-        "harmonic": is_harmonic(p),
-        "biharmonic": is_biharmonic(p),
-    } for p in inputs]
+    expected = [reference_report(p) for p in inputs]
     calls = Counter()
-    for name in ("dirac_left", "dirac_right", "laplacian"):
-        def counted(p, name=name, original=getattr(operators, name)):
-            calls[name] += 1
-            return original(p)
+    original = operators._apply_integer
 
-        monkeypatch.setattr(operators, name, counted)
+    def counted(op, m, numerators):
+        calls[op] += 1
+        return original(op, m, numerators)
+
+    monkeypatch.setattr(operators, "_apply_integer", counted)
     for p, want in zip(inputs, expected):
         calls.clear()
         assert list(predicate_report(p).items()) == list(want.items())
