@@ -1,4 +1,4 @@
-"""Floating-point evaluation and finite-difference verification.
+"""Floating-point evaluation and finite-difference verification, on plain floats.
 
 Exactness lives elsewhere; this module exists to check the one
 non-polynomial closed-form family of plane fields numerically.  Blade
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .algebra import Multivector, blade_sign, _check_dim
 from .polynomials import CliffordPolynomial
 
@@ -23,47 +21,49 @@ _Stencil = Callable[[Field, Point, float], "NumericMultivector"]
 
 
 class NumericMultivector:
-    """Dense float64 element of Cl(0, m), blade-indexed by mask."""
+    """Dense element of Cl(0, m) as a list of plain floats, blade-indexed by mask."""
 
     __slots__ = ("dim", "values")
 
-    def __init__(self, dim: int, values: np.ndarray | None = None):
+    def __init__(self, dim: int, values: Sequence[float] | None = None):
         _check_dim(dim)
         self.dim = dim
         if values is None:
-            self.values = np.zeros(1 << dim)
+            self.values = [0.0] * (1 << dim)
         else:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (1 << dim,):
-                raise ValueError(f"expected {1 << dim} blade slots, got shape {values.shape}")
+            values = list(map(float, values))
+            if len(values) != 1 << dim:
+                raise ValueError(f"expected {1 << dim} blade slots, got {len(values)}")
             self.values = values
 
     @classmethod
     def from_exact(cls, a: Multivector) -> "NumericMultivector":
-        out = np.zeros(1 << a.dim)
+        out = [0.0] * (1 << a.dim)
         for mask, coeff in a.items():
             out[mask] = float(coeff)
         return cls(a.dim, out)
 
     def coefficient(self, mask: int) -> float:
-        return float(self.values[mask])
+        return self.values[mask]
 
     def __add__(self, other: "NumericMultivector") -> "NumericMultivector":
-        return NumericMultivector(self.dim, self.values + other.values)
+        return NumericMultivector(self.dim, [a + b for a, b in zip(self.values, other.values, strict=True)])
 
     def __sub__(self, other: "NumericMultivector") -> "NumericMultivector":
-        return NumericMultivector(self.dim, self.values - other.values)
+        return NumericMultivector(self.dim, [a - b for a, b in zip(self.values, other.values, strict=True)])
 
     def __mul__(self, factor: float) -> "NumericMultivector":
-        return NumericMultivector(self.dim, self.values * factor)
+        return NumericMultivector(self.dim, [v * factor for v in self.values])
 
     __rmul__ = __mul__
 
     def __truediv__(self, factor: float) -> "NumericMultivector":
-        return NumericMultivector(self.dim, self.values / factor)
+        if factor == 0:  # IEEE v / 0.0 is v * (signed inf): inf or NaN, where Python raises
+            return self * math.copysign(math.inf, factor)
+        return NumericMultivector(self.dim, [v / factor for v in self.values])
 
     def _mul_blade(self, mask: int, left: bool) -> "NumericMultivector":
-        out = np.zeros_like(self.values)
+        out = [0.0] * len(self.values)
         for b, v in enumerate(self.values):
             if v:
                 out[mask ^ b] += (blade_sign(mask, b) if left else blade_sign(b, mask)) * v
@@ -78,13 +78,15 @@ class NumericMultivector:
         return self._mul_blade(mask, left=False)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        """Largest magnitude; NaN if any slot is NaN, which the builtin max can skip."""
+        magnitudes = [abs(v) for v in self.values]
+        return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
+        return all(map(math.isfinite, self.values))
 
     def __repr__(self) -> str:
-        nz = {mask: float(v) for mask, v in enumerate(self.values) if v}
+        nz = {mask: v for mask, v in enumerate(self.values) if v}
         return f"NumericMultivector({self.dim}, {nz})"
 
 
@@ -99,7 +101,7 @@ def polynomial_function(p: CliffordPolynomial) -> Field:
     def evaluate(point: Point) -> NumericMultivector:
         if len(point) != dim:
             raise ValueError(f"point length {len(point)} != dimension {dim}")
-        out = np.zeros(1 << dim)
+        out = [0.0] * (1 << dim)
         for mono, blades in spec:
             factor = 1.0
             for c, e in zip(point, mono):
@@ -235,10 +237,7 @@ class TrigExpFamily:
 
     def __call__(self, point: Point) -> NumericMultivector:
         x1, x2 = point
-        out = np.zeros(4)
-        out[0b01] = self.f1(x1, x2)
-        out[0b10] = self.f2(x1, x2)
-        return NumericMultivector(2, out)
+        return NumericMultivector(2, [0.0, self.f1(x1, x2), self.f2(x1, x2), 0.0])
 
 
 def family_eval(family: TrigExpFamily, x1: float, x2: float) -> NumericMultivector:
@@ -266,8 +265,12 @@ def grid_points(side: int = 5, lo: float = -1.0, hi: float = 1.0) -> list[tuple[
     """side x side lattice covering [lo, hi]^2, corners included."""
     if side < 1:
         raise ValueError(f"grid side must be at least 1, got {side}")
-    axis = np.linspace(lo, hi, side)
-    return [(float(a), float(b)) for a in axis for b in axis]
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / max(side - 1, 1)
+    axis = [lo + i * step for i in range(side)]
+    if side > 1:
+        axis[-1] = hi  # the end point is exact, as in numpy.linspace
+    return [(a, b) for a in axis for b in axis]
 
 
 @dataclass(frozen=True)

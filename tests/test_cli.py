@@ -25,6 +25,9 @@ CHECK_INPUTS = (
     "x1 - x2*e12",
 )
 FAMILY = ("family", "--c1", "1", "--c2", "0", "--c3", "1", "--c4", "0", "--n", "2")
+FAMILY_NON_HARMONIC = (
+    "family", "--c1", "1.0", "--c2", "0.8", "--c3", "-0.6", "--c4", "0.5", "--n", "2.0"
+)
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +67,8 @@ class TestGolden:
             (("decompose", "--m", "2", "--k", "2", "x1^2"), "decompose_x1sq.txt"),
             (("tower", "--m", "3", "x1^4*e12"), "tower_m3_x1p4e12.txt"),
             (("almansi", "--m", "2", "x1*x2"), "almansi_m2_x1x2.txt"),
+            (FAMILY + ("--format", "json"), "family_harmonic.json"),
+            (FAMILY_NON_HARMONIC + ("--format", "json"), "family_non_harmonic.json"),
         ],
     )
     def test_text_output(self, capsys, argv, golden):
@@ -231,3 +236,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "dim_infra(2, 2) = 8" in proc.stdout
+
+
+def test_cli_runs_without_numpy():
+    # numpy is no runtime dependency: a None entry makes any import of it fail
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from inframono.cli import main\n"
+        f"sys.exit(main({list(FAMILY)!r}) or main(['check', '--m', '2', 'x1*x2*e1']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

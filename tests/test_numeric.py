@@ -54,6 +54,12 @@ class TestNumericMultivector:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             NumericMultivector(2, [1.0, 2.0])
+        small, large = NumericMultivector(2), NumericMultivector(3)
+        for a, b in ((small, large), (large, small)):
+            with pytest.raises(ValueError):
+                a + b
+            with pytest.raises(ValueError):
+                a - b
 
 
 class TestFamilyEval:
@@ -172,15 +178,24 @@ class TestFamilyScans:
         scan = laplacian_scan(polynomial_function(p), [(0.2, 0.1), (0.1, -0.25)], 1e-4)
         assert scan.max_residual <= 1e-8
 
+    @pytest.mark.parametrize("slot", [0, 3])
     @pytest.mark.parametrize("scan", [sandwich_scan, laplacian_scan])
-    def test_non_finite_residual_is_an_error(self, scan):
-        # max() would keep the running maximum past a NaN and report a pass
+    def test_non_finite_residual_is_an_error(self, scan, slot):
+        # max() would keep the running maximum past a NaN and report a pass,
+        # both across grid points and across the blade slots of one residual
         def field(point):
-            value = math.nan if point[0] > 0.5 else 1.0
-            return NumericMultivector(2, [value, 0.0, 0.0, 0.0])
+            values = [1.0, 0.0, 0.0, 0.0]
+            values[slot] = math.nan if point[0] > 0.5 else 1.0
+            return NumericMultivector(2, values)
 
         with pytest.raises(ValueError, match="non-finite residual"):
             scan(field, grid_points(3), 1e-4)
+
+    @pytest.mark.parametrize("scan", [sandwich_scan, laplacian_scan])
+    def test_step_whose_square_underflows(self, scan):
+        # h * h == 0.0: dividing by it gives IEEE inf or NaN, caught as a residual
+        with pytest.raises(ValueError, match="non-finite residual"):
+            scan(TrigExpFamily(1, 0, 1, 0, 2), grid_points(3), 1e-200)
 
     def test_nan_step_is_an_error(self):
         with pytest.raises(ValueError, match="step"):
@@ -201,6 +216,14 @@ class TestFamilyScans:
     def test_grid_side_must_be_positive(self, side):
         with pytest.raises(ValueError, match=f"got {side}"):
             grid_points(side)
+
+    def test_grid_matches_linspace(self):
+        # numpy.linspace is the reference grid; numpy is not a library dependency
+        np = pytest.importorskip("numpy")
+        for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-2.5, 0.3), (1.0, 1.0)):
+            for side in range(1, 40):
+                axis = [float(a) for a in np.linspace(lo, hi, side)]
+                assert grid_points(side, lo, hi) == [(a, b) for a in axis for b in axis]
 
     def test_scan_reports_field_scale(self):
         scan = sandwich_scan(TrigExpFamily(1, 0, 1, 0, 1), grid_points(3), 1e-4)
