@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 #: Hard cap on the generator count (4096 blades).  Raise it if you know
@@ -94,22 +95,24 @@ def _blade_table(dim: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return tuple(rank), ("",) + tuple("*" + blade_name(mask, dim) for mask in range(1, 1 << dim))
 
 
-def _format_terms(dim: int, groups: Iterable[tuple[str, Mapping[int, Fraction]]]) -> str:
-    """Signed text of (variable text, blade -> coefficient) groups, in the given group order.
+def _format_terms(dim: int, groups: Iterable[tuple[str, Mapping[int, RationalLike], int]]) -> str:
+    """Signed text of (variable text, blade -> value, denominator) groups, in the given group order.
 
-    Within a group, terms follow (grade, mask) order.  Each term prints
-    as ``|c|``, the variable text (empty or ``*``-led) and the blade text;
-    the first term carries a bare ``-`` when negative, the others
-    `` + `` or `` - ``.  No terms at all print as ``0``.
+    A term's coefficient c is its value over its group's denominator, in
+    lowest terms by one gcd.  Within a group, terms follow (grade, mask)
+    order.  Each term prints as ``|c|``, the variable text (empty or
+    ``*``-led) and the blade text; the first term carries a bare ``-``
+    when negative, the others `` + `` or `` - ``.  No terms print ``0``.
     """
     rank, blade_text = _blade_table(dim)
     chunks: list[str] = []
-    for var_text, coeffs in groups:
-        for mask in sorted(coeffs, key=rank.__getitem__):
-            value = coeffs[mask]
-            num, den = value.numerator, value.denominator
+    for var_text, values, den in groups:
+        for mask in sorted(values, key=rank.__getitem__):
+            value = values[mask]
+            num, d = value.numerator, value.denominator * den
+            g = gcd(num, d)
             sign = " - " if num < 0 else " + "
-            body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            body = str(abs(num) // g) if d == g else f"{abs(num) // g}/{d // g}"
             chunks.append(sign + body + var_text + blade_text[mask])
     if not chunks:
         return "0"
@@ -368,7 +371,7 @@ class Multivector:
         return hash((self._dim, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        return _format_terms(self._dim, (("", self._terms),))
+        return _format_terms(self._dim, (("", self._terms, 1),))
 
     def __repr__(self) -> str:
         return f"Multivector({self._dim}, {self._terms!r})"

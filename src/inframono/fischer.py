@@ -26,11 +26,12 @@ Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
 as sparse integer columns from `polynomials._axis_moves`, the
 per-monomial rule the polynomial operators apply as well; one
-monomial's moves serve all 2^m sectors.  A splitting step reads its
-input's terms straight into sector-local integer coordinates over one
-common denominator, solves there, and writes the two parts back as
-polynomials.  The complete decomposition P(k) = sum_s x^s I(k-2s) x^s
-is that step applied again to each quotient.
+monomial's moves serve all 2^m sectors.  A polynomial stores integer
+numerators over one denominator, so a splitting step scatters them into
+sector-local integer coordinates, solves there, and gathers the two
+parts back into numerators.  The complete decomposition
+P(k) = sum_s x^s I(k-2s) x^s is that step applied again to each
+quotient.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from . import linalg
-from .algebra import Multivector, _as_fraction, blade_sign, blades_in_order
+from .algebra import _as_fraction, blade_sign, blades_in_order
 from .operators import (
     dirac_left,
     dirac_right,
@@ -57,6 +58,7 @@ from .polynomials import (
     CliffordPolynomial,
     Monomial,
     _axis_moves,
+    _from_fractions,
     _term_signs,
     euler,
     monomial_basis,
@@ -107,28 +109,23 @@ SectorVector = list[list[int]]
 def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
     """Numerators of a degree-k p's coordinates by sector, and their common denominator."""
     index, table = _monomial_table(p.dim, k)
-    den = lcm(*(value.denominator for _, coeff in p.items() for _, value in coeff.items()))
     vec = [[0] * len(table) for _ in range(1 << p.dim)]
-    for mono, coeff in p.items():
+    for mono, blades in p._nums.items():
         i = index[mono]
-        for mask, value in coeff.items():
-            vec[table[i][1] ^ mask][i] = value.numerator * (den // value.denominator)
-    return vec, den
+        for mask, x in blades.items():
+            vec[table[i][1] ^ mask][i] = x
+    return vec, p._den
 
 
 def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolynomial:
-    """The polynomial with coordinates vec / den.
-
-    Numerators may be Fractions; entries a short sector or sector list omits are zero.
-    """
+    """The polynomial with coordinates vec / den."""
     table = _monomial_table(m, k)[1]
-    terms: dict[Monomial, dict[int, Fraction]] = {}
+    nums: dict[Monomial, dict[int, int]] = {}
     for v, values in enumerate(vec):
         for (mono, par), x in zip(table, values):
             if x:
-                terms.setdefault(mono, {})[v ^ par] = Fraction(x, den)
-    trusted = {mono: Multivector._trusted(m, tm) for mono, tm in terms.items()}
-    return CliffordPolynomial._trusted(m, trusted)
+                nums.setdefault(mono, {})[v ^ par] = x
+    return CliffordPolynomial._trusted(m, den, nums)
 
 
 def coords(p: CliffordPolynomial, k: int) -> list[Fraction]:
@@ -147,8 +144,10 @@ def from_coords(m: int, k: int, vec: list[Fraction]) -> CliffordPolynomial:
     size = space_dim(m, k)
     if len(vec) != size:
         raise ValueError(f"expected {size} coordinates, got {len(vec)}")
-    sectors = [[_as_fraction(vec[i]) for i in at] for at in _sector_positions(m, k)]
-    return _from_sectors(m, k, sectors, 1)
+    terms: dict[Monomial, dict[int, Fraction]] = {}
+    for (mono, mask), x in zip(poly_basis(m, k), vec):
+        terms.setdefault(mono, {})[mask] = _as_fraction(x)
+    return CliffordPolynomial._trusted(m, *_from_fractions(terms))
 
 
 # -- Fischer inner product -----------------------------------------------------
@@ -175,19 +174,17 @@ def fischer_inner(p: CliffordPolynomial, q: CliffordPolynomial) -> Fraction:
     """Closed-form Fischer pairing: sum over monomials of a! [conj(a) b]_0.
 
     For unit blades [conj(e_A) e_A]_0 = 1, so this is the a!-weighted dot
-    product of coefficient vectors; positive definite by inspection.
+    product of coefficient vectors; positive definite by inspection.  It
+    is taken on the integer numerators, over p's times q's denominator.
     """
     _check_pairing(p, q)
-    small, large = (p, q) if len(p.terms()) <= len(q.terms()) else (q, p)
-    total = Fraction(0)
-    for mono, coeff in small.items():
-        other = large.coefficient(mono)
-        if other.is_zero():
-            continue
-        dot = sum((value * other.coefficient(mask) for mask, value in coeff.items()), Fraction(0))
-        if dot:
-            total += _mono_factorial(mono) * dot
-    return total
+    small, large = (p._nums, q._nums) if len(p._nums) <= len(q._nums) else (q._nums, p._nums)
+    total = 0
+    for mono, blades in small.items():
+        other = large.get(mono)
+        if other:
+            total += _mono_factorial(mono) * sum(x * other.get(mask, 0) for mask, x in blades.items())
+    return Fraction(total, p._den * q._den)
 
 
 def fischer_inner_differential(p: CliffordPolynomial, q: CliffordPolynomial) -> Fraction:
@@ -557,22 +554,11 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
-    return _split(p)[0]
-
-
-def _split(
-    p: CliffordPolynomial, coords: tuple[SectorVector, int] | None = None
-) -> tuple[DecompositionResult, tuple[SectorVector, int] | None]:
-    """`fischer_decompose` of a homogeneous p, given p's `_sector_coords` if known.
-
-    Also returns the quotient's coordinates as the reconstruction check
-    read them back (None below degree 2), for the tower's next step.
-    """
     m, k = p.dim, p.degree()
     if k is None or k < 2:
         zero = CliffordPolynomial.zero(m)
-        return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True)), None
-    vec, den = coords or _sector_coords(p, k)
+        return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
+    vec, den = _sector_coords(p, k)
     solver_den, inverses = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
     weights = _weights(m, k)
@@ -606,7 +592,7 @@ def _split(
         for x, y, z in zip(a, _apply(t_cols, b, len(c)), c)
     )
     checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
-    return DecompositionResult(p, infra_part, quotient_part, checks), (got_quotient, dq)
+    return DecompositionResult(p, infra_part, quotient_part, checks)
 
 
 @dataclass(frozen=True)
@@ -638,18 +624,16 @@ class FischerTower(_Splitting):
 def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers.
 
-    Step 0 is `fischer_decompose(p)` and step s+1 decomposes step s's
-    quotient, starting from the coordinates step s read back from it;
-    layer s is step s's infra part.  The reconstruction and sandwich_zero
-    flags are the AND over all steps, and orthogonality is step 0's.
+    Step 0 is `fischer_decompose(p)` and step s+1 is `fischer_decompose`
+    of step s's quotient; layer s is step s's infra part.  The
+    reconstruction and sandwich_zero flags are the AND over all steps,
+    and orthogonality is step 0's.
     """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")
-    step, coords = _split(p)
-    steps = [step]
+    steps = [fischer_decompose(p)]
     for _ in range((p.degree() or 0) // 2):
-        step, coords = _split(step.quotient, coords)
-        steps.append(step)
+        steps.append(fischer_decompose(steps[-1].quotient))
     checks = DecompositionChecks(
         all(step.checks.reconstruction for step in steps),
         all(step.checks.sandwich_zero for step in steps),
@@ -774,10 +758,8 @@ def kernel_basis(
         else:
             vectors = [[int(i == j) for j in range(len(keep))] for i in range(len(keep))]
         for vec in vectors:
-            local = [0] * len(table)
-            for value, i in zip(vec, keep):
-                local[i] = value
-            out.append(_from_sectors(m, k, [[]] * v + [local], 1))
+            terms = {table[i][0]: {v ^ table[i][1]: x} for x, i in zip(vec, keep)}
+            out.append(CliffordPolynomial._trusted(m, *_from_fractions(terms)))
     return tuple(out)
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Multivector, _check_dim, _vector_signs
-from .polynomials import CliffordPolynomial, Monomial
+from .algebra import _check_dim, _vector_signs
+from .polynomials import CliffordPolynomial, Monomial, _from_fractions
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -202,9 +202,4 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
     acc: dict[Monomial, dict[int, Fraction]] = {}
     parser.parse_poly(acc)
     parser.expect_end()
-    terms = {}
-    for mono, blades in acc.items():
-        blades = {mask: value for mask, value in blades.items() if value}
-        if blades:
-            terms[mono] = Multivector._trusted(m, blades)
-    return CliffordPolynomial._trusted(m, terms)
+    return CliffordPolynomial._trusted(m, *_from_fractions(acc))

@@ -92,10 +92,7 @@ class NumericMultivector:
 
 def polynomial_function(p: CliffordPolynomial) -> Field:
     """Float-evaluating closure for an exact polynomial."""
-    spec = [
-        (mono, [(mask, float(value)) for mask, value in coeff.items()])
-        for mono, coeff in p.items()
-    ]
+    spec = [(mono, [(mask, x / p._den) for mask, x in blades.items()]) for mono, blades in p._nums.items()]
     dim = p.dim
 
     def evaluate(point: Point) -> NumericMultivector:
@@ -127,6 +124,8 @@ def _shifted(point: Point, moves: dict[int, float]) -> list[float]:
 def _check_step(h: float) -> None:
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step must be finite and positive, got {h}")
+    if h * h == 0:
+        raise ValueError(f"step {h} is too small: its square underflows to 0.0")
 
 
 def _second_difference(

@@ -11,9 +11,10 @@ actions and the Laplacian apply `polynomials._axis_moves` once to each
 monomial and then to all of its blades; the compiled sector operators of
 `fischer` are built from the same rule.
 
-The predicates run that rule's integer core, `polynomials._apply_integer`,
-on p's numerators over its common denominator and build no Fraction.
-Every operator has an integer matrix, so scaling p by that denominator
+Polynomials are stored as integer numerators over one denominator; the
+Dirac-type operators and the predicates run that rule's integer core,
+`polynomials._apply_integer`, on the stored numerators and build no
+Fraction.  Every operator has an integer matrix, so the denominator
 cannot change whether a chain of them sends p to zero.
 """
 
@@ -27,7 +28,6 @@ from .polynomials import (
     CliffordPolynomial,
     _apply_integer,
     _apply_primitive,
-    _numerators,
     mul_by_x_left,
     mul_by_x_right,
 )
@@ -71,7 +71,7 @@ def conjugate_sum(p: CliffordPolynomial) -> CliffordPolynomial:
 
 def _vanishes(p: CliffordPolynomial, *ops: str) -> bool:
     """Whether applying ops in turn sends p to zero, decided on p's integer numerators."""
-    numerators = _numerators(p)[1]
+    numerators = p._nums
     for op in ops:
         numerators = _apply_integer(op, p.dim, numerators)
     return not numerators
@@ -115,14 +115,13 @@ def predicate_report(p: CliffordPolynomial) -> dict[str, bool]:
     """All predicate verdicts in a fixed, printable order.
 
     The verdicts are those of the single predicates above (the three
-    monogenic ones with k = 3).  p's numerators are read once, and each
-    operator chain is computed once on them with the integer core:
+    monogenic ones with k = 3).  Each operator chain is computed once on
+    p's numerators with the integer core:
     D_L, D_L^2, D_L^3, D_R, D_R^2, D_R^3, D_R D_L, Lap and Lap^2.  Each
     verdict is whether its chain's result is empty.
     """
     m = p.dim
-    numerators = _numerators(p)[1]
-    left, right, lap = (_apply_integer(op, m, numerators)
+    left, right, lap = (_apply_integer(op, m, p._nums)
                         for op in ("dirac_left", "dirac_right", "laplacian"))
     return {
         "left_monogenic": not left,

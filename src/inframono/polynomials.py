@@ -1,11 +1,13 @@
 """Polynomials in x1..xm with multivector coefficients.
 
 A polynomial is a sparse map from exponent tuples (a1, ..., am) to
-Multivector coefficients.  Scalar variables commute with everything, so
-the coefficient is stored on the left by convention; printing and parsing
-follow the same convention.  Monomial enumeration is graded-lex: degree
-first, then exponent tuples in descending lexicographic order, which puts
-x1^k first and xm^k last within a degree.
+multivector coefficients, held as integer numerators over one common
+denominator (see `CliffordPolynomial`).  Scalar variables commute with
+everything, so the coefficient is stored on the left by convention;
+printing and parsing follow the same convention.  Monomial enumeration
+is graded-lex: degree first, then exponent tuples in descending
+lexicographic order, which puts x1^k first and xm^k last within a
+degree.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .algebra import (
     _as_fraction,
     _check_dim,
     _format_terms,
+    _popcount,
     _vector_signs,
 )
 
@@ -74,41 +77,73 @@ def _coerce_coefficient(dim: int, coeff: CoefficientLike) -> Multivector:
     return Multivector.scalar(dim, coeff)
 
 
-class CliffordPolynomial:
-    """Immutable multivector-valued polynomial, zero-pruned.
+_Numerators = dict[Monomial, dict[int, int]]
 
+
+def _from_fractions(terms: Mapping[Monomial, Mapping[int, RationalLike]]) -> tuple[int, _Numerators]:
+    """Fraction coefficients as numerators over their least common denominator, zeros dropped."""
+    den = math.lcm(*(value.denominator for blades in terms.values() for value in blades.values()))
+    return den, _pruned({mono: {mask: v.numerator * (den // v.denominator) for mask, v in blades.items()}
+                         for mono, blades in terms.items()})
+
+
+def _pruned(nums: _Numerators) -> _Numerators:
+    """nums without zero numerators, and without the monomials that leaves empty."""
+    out = {}
+    for mono, blades in nums.items():
+        blades = {mask: x for mask, x in blades.items() if x}
+        if blades:
+            out[mono] = blades
+    return out
+
+
+def _scaled(nums: _Numerators, factor: int) -> _Numerators:
+    return {mono: {mask: factor * x for mask, x in blades.items()} for mono, blades in nums.items()}
+
+
+class CliffordPolynomial:
+    """Immutable multivector-valued polynomial: x^a e_A has coefficient _nums[a][A] / _den.
+
+    Kept in lowest terms (den > 0, no zero numerator, gcd(den, every
+    numerator) = 1), so equal values store equal data.  terms(), items()
+    and coefficient() build Fraction Multivectors only when called.
     Values may be inhomogeneous; operations that require a single degree
     (the decomposition machinery) check homogeneity themselves.
     """
 
-    __slots__ = ("_dim", "_terms")
+    __slots__ = ("_dim", "_den", "_nums")
 
     def __init__(self, dim: int, terms: Mapping[Monomial, CoefficientLike] | None = None):
         _check_dim(dim)
-        clean: dict[Monomial, Multivector] = {}
+        fractions: dict[Monomial, dict[int, Fraction]] = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
                 if len(mono) != dim or any(not isinstance(e, int) or e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono!r} for dimension {dim}")
-                value = _coerce_coefficient(dim, coeff)
-                if not value.is_zero():
-                    clean[mono] = value
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_terms", clean)
+                fractions[mono] = _coerce_coefficient(dim, coeff)._terms
+        self._store(dim, *_from_fractions(fractions))
 
     @classmethod
-    def _trusted(cls, dim: int, terms: dict[Monomial, Multivector]) -> "CliffordPolynomial":
-        """Wrap terms already in canonical form, unchecked and uncopied.
+    def _trusted(cls, dim: int, den: int, nums: _Numerators) -> "CliffordPolynomial":
+        """Wrap numerators over den, unchecked and uncopied, in lowest terms.
 
-        For terms the library built itself: int exponent tuples of length
-        dim and non-zero Multivectors of that dim.  Outside input goes
-        through __init__.
+        For numerators the library built itself: den > 0, valid monomials
+        and masks, no zero numerator.  Outside input goes through __init__.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_terms", terms)
+        self._store(dim, den, nums)
         return self
+
+    def _store(self, dim: int, den: int, nums: _Numerators) -> None:
+        """Set the slots, dividing den and every numerator by their gcd."""
+        g = math.gcd(den, *(x for blades in nums.values() for x in blades.values()))
+        if g != 1:
+            den //= g
+            nums = {mono: {mask: x // g for mask, x in blades.items()} for mono, blades in nums.items()}
+        object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CliffordPolynomial is immutable")
@@ -141,41 +176,41 @@ class CliffordPolynomial:
     def dim(self) -> int:
         return self._dim
 
+    def _coefficient(self, blades: dict[int, int]) -> Multivector:
+        return Multivector._trusted(self._dim, {mask: Fraction(x, self._den) for mask, x in blades.items()})
+
     def terms(self) -> dict[Monomial, Multivector]:
-        return dict(self._terms)
+        return dict(self.items())
 
     def coefficient(self, exponents: Iterable[int]) -> Multivector:
-        return self._terms.get(tuple(exponents), Multivector.zero(self._dim))
+        return self._coefficient(self._nums.get(tuple(exponents), {}))
 
     def items(self) -> Iterator[tuple[Monomial, Multivector]]:
-        return iter(self._terms.items())
+        return ((mono, self._coefficient(blades)) for mono, blades in self._nums.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return None
-        return max(monomial_degree(mono) for mono in self._terms)
+        return max(monomial_degree(mono) for mono in self._nums)
 
     def is_homogeneous(self, k: int | None = None) -> bool:
-        degrees = {monomial_degree(mono) for mono in self._terms}
+        degrees = {monomial_degree(mono) for mono in self._nums}
         if k is None:
             return len(degrees) <= 1
         return degrees <= {k}
 
     def grades(self) -> set[int]:
-        out: set[int] = set()
-        for coeff in self._terms.values():
-            out |= coeff.grades()
-        return out
+        return {_popcount(mask) for blades in self._nums.values() for mask in blades}
 
     def is_pure_grade(self, g: int) -> bool:
-        return all(coeff.is_pure_grade(g) for coeff in self._terms.values())
+        return self.grades() <= {g}
 
     def pure_grade(self) -> int | None:
         grades = self.grades()
@@ -185,7 +220,9 @@ class CliffordPolynomial:
 
     def grade(self, g: int) -> "CliffordPolynomial":
         """Coefficient-wise grade projection."""
-        return CliffordPolynomial(self._dim, {m: c.grade(g) for m, c in self._terms.items()})
+        nums = {mono: {mask: x for mask, x in blades.items() if _popcount(mask) == g}
+                for mono, blades in self._nums.items()}
+        return CliffordPolynomial._trusted(self._dim, self._den, _pruned(nums))
 
     # -- linear arithmetic ---------------------------------------------------
 
@@ -202,18 +239,19 @@ class CliffordPolynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
-            if mono in terms:
-                terms[mono] = terms[mono] + coeff
-            else:
-                terms[mono] = coeff
-        return CliffordPolynomial(self._dim, terms)
+        den = math.lcm(self._den, rhs._den)
+        nums = _scaled(self._nums, den // self._den)
+        factor = den // rhs._den
+        for mono, blades in rhs._nums.items():
+            row = nums.setdefault(mono, {})
+            for mask, x in blades.items():
+                row[mask] = row.get(mask, 0) + factor * x
+        return CliffordPolynomial._trusted(self._dim, den, _pruned(nums))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CliffordPolynomial":
-        return CliffordPolynomial(self._dim, {m: -c for m, c in self._terms.items()})
+        return CliffordPolynomial._trusted(self._dim, self._den, _scaled(self._nums, -1))
 
     def __sub__(self, other: object) -> "CliffordPolynomial":
         rhs = self._coerce(other)
@@ -229,7 +267,9 @@ class CliffordPolynomial:
 
     def __mul__(self, other: object) -> "CliffordPolynomial":
         if isinstance(other, (int, Fraction)):
-            return CliffordPolynomial(self._dim, {m: c * other for m, c in self._terms.items()})
+            factor = _as_fraction(other)
+            nums = _scaled(self._nums, factor.numerator) if factor else {}
+            return CliffordPolynomial._trusted(self._dim, self._den * factor.denominator, nums)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -245,7 +285,7 @@ class CliffordPolynomial:
     def _mul_constant(self, a: Multivector, left: bool) -> "CliffordPolynomial":
         if a.dim != self._dim:
             raise ValueError(f"dimension mismatch: {self._dim} vs {a.dim}")
-        terms = {m: a * c if left else c * a for m, c in self._terms.items()}
+        terms = {m: a * c if left else c * a for m, c in self.items()}
         return CliffordPolynomial(self._dim, terms)
 
     def mul_left(self, a: Multivector) -> "CliffordPolynomial":
@@ -264,12 +304,12 @@ class CliffordPolynomial:
             raise ValueError(f"axis {j} out of range 1..{self._dim}")
         idx = j - 1
         # lowering one axis maps distinct monomials to distinct monomials
-        terms = {
-            mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]: coeff * mono[idx]
-            for mono, coeff in self._terms.items()
-            if mono[idx]
+        nums = {
+            mono[:idx] + (e - 1,) + mono[idx + 1:]: {mask: e * x for mask, x in blades.items()}
+            for mono, blades in self._nums.items()
+            if (e := mono[idx])
         }
-        return CliffordPolynomial(self._dim, terms)
+        return CliffordPolynomial._trusted(self._dim, self._den, nums)
 
     def eval(self, point: Sequence[RationalLike]) -> Multivector:
         """Exact evaluation at a rational point."""
@@ -277,7 +317,7 @@ class CliffordPolynomial:
             raise ValueError(f"point length {len(point)} != dimension {self._dim}")
         coords = [_as_fraction(c) for c in point]
         total = Multivector.zero(self._dim)
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.items():
             factor = Fraction(1)
             for c, e in zip(coords, mono):
                 if e:
@@ -293,20 +333,21 @@ class CliffordPolynomial:
             other = CliffordPolynomial.constant(self._dim, other)
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented
-        return self._dim == other._dim and self._terms == other._terms
+        return self._dim == other._dim and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self._dim, frozenset((m, c) for m, c in self._terms.items())))
+        rows = frozenset((mono, frozenset(blades.items())) for mono, blades in self._nums.items())
+        return hash((self._dim, self._den, rows))
 
     def __str__(self) -> str:
         groups = (
-            (_monomial_text(mono), self._terms[mono]._terms)
-            for mono in sorted(self._terms, key=monomial_sort_key)
+            (_monomial_text(mono), self._nums[mono], self._den)
+            for mono in sorted(self._nums, key=monomial_sort_key)
         )
         return _format_terms(self._dim, groups)
 
     def __repr__(self) -> str:
-        return f"CliffordPolynomial({self._dim}, {self._terms!r})"
+        return f"CliffordPolynomial({self._dim}, {self.terms()!r})"
 
 
 def _monomial_text(mono: Monomial) -> str:
@@ -349,20 +390,8 @@ def _term_signs(op: str, m: int) -> tuple[tuple[int, ...], ...]:
     return _vector_signs(m)[op.endswith("_right")]
 
 
-_Numerators = dict[Monomial, dict[int, int]]
-
-
-def _numerators(p: CliffordPolynomial) -> tuple[int, _Numerators]:
-    """p's coefficients over their common denominator: (den, {monomial: {blade: numerator}})."""
-    den = math.lcm(*(value.denominator
-                     for coeff in p._terms.values() for value in coeff._terms.values()))
-    return den, {a: {mask: value.numerator * (den // value.denominator)
-                     for mask, value in coeff._terms.items()}
-                 for a, coeff in p._terms.items()}
-
-
 def _apply_integer(op: str, m: int, numerators: _Numerators) -> _Numerators:
-    """op applied to integer numerators as returned by _numerators, zero-pruned.
+    """op applied to a polynomial's integer numerators ``_nums``, zero-pruned.
 
     Reads each monomial's moves once and applies them to all its blades.
     Every op has integer factors and signs, so the result is exact and
@@ -378,25 +407,12 @@ def _apply_integer(op: str, m: int, numerators: _Numerators) -> _Numerators:
             for mask, x, sign in blades:
                 blade = mask ^ bit
                 out[blade] = out.get(blade, 0) + factor * sign[j] * x
-    result = {}
-    for b, blades in sums.items():
-        blades = {blade: n for blade, n in blades.items() if n}
-        if blades:
-            result[b] = blades
-    return result
+    return _pruned(sums)
 
 
 def _apply_primitive(op: str, p: CliffordPolynomial) -> CliffordPolynomial:
-    """op applied to every term of p, summed over terms and axes.
-
-    The integer core _apply_integer does the work on p's numerators; one
-    Fraction per output term puts back the common denominator.
-    """
-    m = p.dim
-    den, numerators = _numerators(p)
-    terms = {b: Multivector._trusted(m, {blade: Fraction(n, den) for blade, n in blades.items()})
-             for b, blades in _apply_integer(op, m, numerators).items()}
-    return CliffordPolynomial._trusted(m, terms)
+    """op applied to every term of p, summed over terms and axes, on p's numerators."""
+    return CliffordPolynomial._trusted(p.dim, p._den, _apply_integer(op, p.dim, p._nums))
 
 
 def mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -411,6 +427,6 @@ def mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
 
 def euler(p: CliffordPolynomial) -> CliffordPolynomial:
     """Euler operator sum_j x_j d/dx_j; scales each monomial by its degree."""
-    return CliffordPolynomial(
-        p.dim, {mono: coeff * monomial_degree(mono) for mono, coeff in p.items()}
-    )
+    nums = {mono: {mask: sum(mono) * x for mask, x in blades.items()}
+            for mono, blades in p._nums.items() if any(mono)}
+    return CliffordPolynomial._trusted(p.dim, p._den, nums)

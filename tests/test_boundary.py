@@ -1,12 +1,16 @@
 """The text and construction boundary against the reference renderer and parser.
 
-`str` renders from per-dimension blade tables, `parse_polynomial` sums into
-one term dict, and the parser, `fischer._from_sectors` and the polynomial
-operators build values through the unchecked `_trusted` constructors.
-Here each is held to `helpers.reference_str`, `helpers.reference_parse`
-and the validating constructors.
+A polynomial stores integer numerators over one denominator (``_den``,
+``_nums``) in lowest terms.  `str` renders them from per-dimension blade
+tables, `parse_polynomial` sums into one term dict, and the parser,
+`fischer._from_sectors`, the arithmetic and the polynomial operators
+build values through the unchecked `CliffordPolynomial._trusted`, which
+only divides out the common gcd.  Here each is held to
+`helpers.reference_str`, `helpers.reference_parse`, the validating
+constructors and the storage invariant.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +23,10 @@ from inframono import (
     PolynomialSyntaxError,
     dirac_left,
     dirac_right,
+    euler,
     fischer_decompose,
     from_coords,
+    kernel_basis,
     laplacian,
     mul_by_x_left,
     mul_by_x_right,
@@ -85,9 +91,14 @@ def _outcome(parse, text: str, m: int):
 
 
 def assert_canonical(p: CliffordPolynomial) -> None:
-    """p equals its terms put through the validating constructors, and stores no zero."""
+    """p equals and hashes as its terms put through the validating constructors, in lowest terms.
+
+    The storage invariant: den > 0, only non-zero int numerators, no
+    empty monomial, and gcd(den, every numerator) = 1.
+    """
     rebuilt = {mono: Multivector(p.dim, coeff.terms()) for mono, coeff in p.items()}
-    assert CliffordPolynomial(p.dim, rebuilt) == p
+    validated = CliffordPolynomial(p.dim, rebuilt)
+    assert validated == p and hash(validated) == hash(p)
     for mono, coeff in p.items():
         assert type(mono) is tuple and len(mono) == p.dim
         assert all(type(e) is int and e >= 0 for e in mono)
@@ -95,6 +106,10 @@ def assert_canonical(p: CliffordPolynomial) -> None:
         for mask, value in coeff.items():
             assert type(mask) is int and 0 <= mask < 1 << p.dim
             assert type(value) is Fraction and value != 0
+    assert type(p._den) is int and p._den > 0
+    for blades in p._nums.values():
+        assert blades and all(type(x) is int and x != 0 for x in blades.values())
+    assert math.gcd(p._den, *(x for blades in p._nums.values() for x in blades.values())) == 1
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -176,6 +191,28 @@ def test_sector_results_are_canonical():
         assert_canonical(from_coords(m, k, vec))
     for kind in ("inframonogenic", "left_monogenic", "harmonic"):
         assert_canonical(getattr(KernelSampler(3, 4, seed=2), kind)())
+        for grade in (None, 1):
+            for basis_element in kernel_basis(3, 3, kind, grade):
+                assert_canonical(basis_element)
+
+
+def test_arithmetic_results_are_canonical():
+    rng = random.Random(13)
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        p = random_polynomial(rng, m, rng.randint(0, 4), homogeneous=False)
+        q = random_polynomial(rng, m, rng.randint(0, 4), homogeneous=False)
+        c = random_rational(rng) or Fraction(2, 3)
+        a = random_multivector(rng, m)
+        j, g = rng.randint(1, m), rng.randint(0, m)
+        results = [p + q, p - q, p - p, -p, p + 1, 1 - p, p * c, c * p, p * 0, p * 2, p / c, p / 2,
+                   p.partial(j), p.grade(g), euler(p), p.mul_left(a), p.mul_right(a)]
+        for result in results:
+            assert_canonical(result)
+        # one value built four ways stores the same numerators
+        for same in (p * 3 / 3, parse_polynomial(str(p), m), CliffordPolynomial(p.dim, p.terms()), p + q - q):
+            assert same == p and hash(same) == hash(p)
+    assert hash(CliffordPolynomial.zero(2) * 5) == hash(CliffordPolynomial(2, {(1, 0): 0}))
 
 
 def test_public_constructors_still_validate():

@@ -199,6 +199,7 @@ class TestExitCodes:
             (("--grid-side", "-2"), "got -2"),
             (("--tol", "nan"), "tolerance must be finite and non-negative, got nan"),
             (("--tol", "-1"), "tolerance must be finite and non-negative, got -1.0"),
+            (("--h", "1e-200"), "error: step 1e-200 is too small: its square underflows to 0.0"),
         ],
     )
     def test_family_bad_numbers_are_one(self, capsys, extra, message):

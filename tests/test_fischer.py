@@ -326,29 +326,15 @@ class TestTower:
                     step = fischer_decompose(step.quotient)
                 assert step.infra_part.is_zero() and step.quotient.is_zero()
 
-    def test_steps_reuse_the_coordinates_read_back(self, monkeypatch):
-        """Step s+1 starts from the quotient coordinates step s read for its check."""
+    def test_tower_equals_repeated_decompose(self):
         p = random_polynomial(random.Random(41), 4, 6)
         steps = [fischer_decompose(p)]
         while steps[-1].quotient:
             steps.append(fischer_decompose(steps[-1].quotient))
-        degrees = []
-        read = fischer._sector_coords
-
-        def counted(q, k):
-            degrees.append(k)
-            return read(q, k)
-
-        monkeypatch.setattr(fischer, "_sector_coords", counted)
         tower = fischer_tower(p)
-        # p once, then per step the infra part and the quotient its reconstruction check reads
-        assert degrees == [6, 6, 4, 4, 2, 2, 0]
         assert [layer.component for layer in tower.layers] == [s.infra_part for s in steps]
         assert tower.first_quotient == steps[0].quotient
         assert tower.checks == DecompositionChecks(True, True, True)
-        degrees.clear()
-        fischer_decompose(p)
-        assert degrees == [6, 6, 4]
 
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
