@@ -58,6 +58,7 @@ from .polynomials import (
     CliffordPolynomial,
     Monomial,
     _axis_moves,
+    _combination,
     _from_fractions,
     _term_signs,
     euler,
@@ -254,6 +255,8 @@ def adjointness_report(p: CliffordPolynomial, q: CliffordPolynomial) -> Adjointn
 
 def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
     """x^s p x^s: the two-sided embedding applied s times."""
+    if times < 0:
+        raise ValueError(f"times must be non-negative, got {times}")
     for _ in range(times):
         p = mul_by_x_left(mul_by_x_right(p))
     return p
@@ -611,10 +614,7 @@ class FischerTower(_Splitting):
     checks: DecompositionChecks
 
     def reconstruct(self) -> CliffordPolynomial:
-        total = CliffordPolynomial.zero(self.input.dim)
-        for layer in self.layers:
-            total = total + wrap_x(layer.component, layer.s)
-        return total
+        return _combination(self.input.dim, [(1, wrap_x(layer.component, layer.s)) for layer in self.layers])
 
     def to_json_dict(self) -> dict:
         layers = [{"s": layer.s, "component": str(layer.component)} for layer in self.layers]
@@ -790,11 +790,7 @@ class KernelSampler:
             ]
             if any(weights):
                 break
-        total = CliffordPolynomial.zero(self._m)
-        for weight, b in zip(weights, basis):
-            if weight:
-                total = total + b * weight
-        return total
+        return _combination(self._m, zip(weights, basis))
 
     def inframonogenic(self, grade: int | None = None) -> CliffordPolynomial:
         return self._draw("inframonogenic", grade)

@@ -28,6 +28,7 @@ from .polynomials import (
     CliffordPolynomial,
     _apply_integer,
     _apply_primitive,
+    _combination,
     mul_by_x_left,
     mul_by_x_right,
 )
@@ -59,11 +60,8 @@ def laplacian(p: CliffordPolynomial) -> CliffordPolynomial:
 
 def conjugate_sum(p: CliffordPolynomial) -> CliffordPolynomial:
     """sum_j e_j p e_j; multiplies a pure grade-g value by (-1)^g (2g - m)."""
-    total = CliffordPolynomial.zero(p.dim)
-    for j in range(1, p.dim + 1):
-        e_j = Multivector.basis_vector(p.dim, j)
-        total = total + p.mul_left(e_j).mul_right(e_j)
-    return total
+    vectors = (Multivector.basis_vector(p.dim, j) for j in range(1, p.dim + 1))
+    return _combination(p.dim, [(1, p.mul_left(e).mul_right(e)) for e in vectors])
 
 
 # -- predicates --------------------------------------------------------------

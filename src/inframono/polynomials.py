@@ -58,6 +58,7 @@ def monomial_basis(m: int, k: int) -> list[Monomial]:
 
 
 def monomial_count(m: int, k: int) -> int:
+    _check_dim(m)
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
     return math.comb(k + m - 1, m - 1)
@@ -65,7 +66,6 @@ def monomial_count(m: int, k: int) -> int:
 
 def space_dim(m: int, k: int) -> int:
     """Real dimension of the degree-k multivector polynomial space."""
-    _check_dim(m)
     return monomial_count(m, k) * (1 << m)
 
 
@@ -97,8 +97,18 @@ def _pruned(nums: _Numerators) -> _Numerators:
     return out
 
 
-def _scaled(nums: _Numerators, factor: int) -> _Numerators:
-    return {mono: {mask: factor * x for mask, x in blades.items()} for mono, blades in nums.items()}
+def _combination(dim: int, pairs: Iterable[tuple[RationalLike, CliffordPolynomial]]) -> CliffordPolynomial:
+    """Sum of weight * p over (int or Fraction weight, polynomial) pairs: one lcm, one int dict, one gcd."""
+    pairs = [(w, p) for w, p in pairs if w]
+    den = math.lcm(*(w.denominator * p._den for w, p in pairs))
+    nums: _Numerators = {}
+    for w, p in pairs:
+        factor = w.numerator * (den // (w.denominator * p._den))
+        for mono, blades in p._nums.items():
+            row = nums.setdefault(mono, {})
+            for mask, x in blades.items():
+                row[mask] = row.get(mask, 0) + factor * x
+    return CliffordPolynomial._trusted(dim, den, _pruned(nums))
 
 
 class CliffordPolynomial:
@@ -239,37 +249,28 @@ class CliffordPolynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        den = math.lcm(self._den, rhs._den)
-        nums = _scaled(self._nums, den // self._den)
-        factor = den // rhs._den
-        for mono, blades in rhs._nums.items():
-            row = nums.setdefault(mono, {})
-            for mask, x in blades.items():
-                row[mask] = row.get(mask, 0) + factor * x
-        return CliffordPolynomial._trusted(self._dim, den, _pruned(nums))
+        return _combination(self._dim, ((1, self), (1, rhs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CliffordPolynomial":
-        return CliffordPolynomial._trusted(self._dim, self._den, _scaled(self._nums, -1))
+        return _combination(self._dim, ((-1, self),))
 
     def __sub__(self, other: object) -> "CliffordPolynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _combination(self._dim, ((1, self), (-1, rhs)))
 
     def __rsub__(self, other: object) -> "CliffordPolynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return _combination(self._dim, ((1, rhs), (-1, self)))
 
     def __mul__(self, other: object) -> "CliffordPolynomial":
         if isinstance(other, (int, Fraction)):
-            factor = _as_fraction(other)
-            nums = _scaled(self._nums, factor.numerator) if factor else {}
-            return CliffordPolynomial._trusted(self._dim, self._den * factor.denominator, nums)
+            return _combination(self._dim, ((other, self),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -329,6 +330,8 @@ class CliffordPolynomial:
     # -- comparison / rendering ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Multivector) and other.dim != self._dim:
+            return False
         if isinstance(other, (int, Fraction, Multivector)):
             other = CliffordPolynomial.constant(self._dim, other)
         if not isinstance(other, CliffordPolynomial):

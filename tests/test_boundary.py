@@ -35,6 +35,7 @@ from inframono import (
     space_dim,
 )
 from inframono.algebra import _vector_signs, blade_sign
+from inframono.polynomials import _combination
 from helpers import (
     random_multivector,
     random_polynomial,
@@ -213,6 +214,30 @@ def test_arithmetic_results_are_canonical():
         for same in (p * 3 / 3, parse_polynomial(str(p), m), CliffordPolynomial(p.dim, p.terms()), p + q - q):
             assert same == p and hash(same) == hash(p)
     assert hash(CliffordPolynomial.zero(2) * 5) == hash(CliffordPolynomial(2, {(1, 0): 0}))
+
+
+def _reference_combination(m, pairs):
+    """sum of weight * p, accumulated over terms() Multivectors and built by the public constructor."""
+    acc = {}
+    for weight, p in pairs:
+        for mono, coeff in p.terms().items():
+            acc[mono] = acc.get(mono, Multivector.zero(m)) + coeff * weight
+    return CliffordPolynomial(m, acc)
+
+
+def test_combination_matches_reference():
+    rng = random.Random(14)
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        polys = [random_polynomial(rng, m, rng.randint(0, 3), homogeneous=False)
+                 for _ in range(rng.randint(1, 6))]
+        pairs = [(rng.choice([0, rng.randint(-5, 5), random_rational(rng, max_den=12)]), p) for p in polys]
+        p, w = polys[0], random_rational(rng, max_den=12) or Fraction(2, 7)
+        for case in (pairs, [(w, p), (-w, p)] + pairs[1:], [(0, p)], []):
+            got = _combination(m, case)
+            assert got == _reference_combination(m, case)
+            assert_canonical(got)
+        assert _combination(m, [(w, p), (-w, p)]).is_zero()
 
 
 def test_public_constructors_still_validate():

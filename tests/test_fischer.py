@@ -117,6 +117,11 @@ class TestAdjointness:
         e1 = CliffordPolynomial.constant(2, Multivector.basis_vector(2, 1))
         assert fischer_inner(wrap_x(e1), X1X2) == fischer_inner(e1, sandwich(X1X2)) == 0
 
+    def test_wrap_x_times(self):
+        assert wrap_x(X1X2, 0) == X1X2
+        with pytest.raises(ValueError, match="times"):
+            wrap_x(X1X2, -1)
+
     def test_random_relations(self):
         rng = random.Random(4)
         for _ in range(100):
@@ -562,6 +567,20 @@ class TestKernelSampling:
             KernelSampler(3, 4, seed=99).inframonogenic() != c.inframonogenic()
             for _ in range(3)
         )
+
+    def test_draw_stores_one_polynomial(self, monkeypatch):
+        # with the basis cached, a draw sums it in one pass: no running total is rebuilt per term
+        assert len(kernel_basis(3, 4, "harmonic", None)) > 1
+        calls = []
+        store = CliffordPolynomial._store
+
+        def counting_store(self, *args):
+            calls.append(args)
+            store(self, *args)
+
+        monkeypatch.setattr(CliffordPolynomial, "_store", counting_store)
+        KernelSampler(3, 4, seed=5).harmonic()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("grade", [-1, 3, 7])
     def test_grade_out_of_range_rejected(self, grade):

@@ -207,6 +207,11 @@ class TestBasisEnumeration:
         with pytest.raises(ValueError):
             space_dim(2, -1)
 
+    @pytest.mark.parametrize("m, k", [(0, 1), (13, 2)])
+    def test_dimension_checked_by_count(self, m, k):
+        with pytest.raises(ValueError, match="dimension"):
+            monomial_count(m, k)
+
 
 class TestStructural:
     def test_homogeneity_flags(self):
@@ -225,6 +230,14 @@ class TestStructural:
         p = poly(2, {(1, 0): Multivector(2, {0: 1, 1: 2})})
         assert p.grade(1) == poly(2, {(1, 0): Multivector(2, {1: 2})})
         assert p.grade(0) + p.grade(1) == p
+
+    def test_equality_across_dimensions_is_false(self):
+        p = CliffordPolynomial.zero(2)
+        assert not p == Multivector.zero(3)
+        assert p != Multivector.zero(3)
+        assert not Multivector.zero(3) == p
+        assert p == Multivector.zero(2) and CliffordPolynomial.constant(3, 2) == Multivector.scalar(3, 2)
+        assert CliffordPolynomial.constant(3, 2) != Multivector.scalar(3, 1)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
