@@ -17,9 +17,11 @@ of P(k) holds exactly one basis element per degree-k monomial, so the
 matrix of S o T decomposes into 2^m independent square blocks the size
 of the degree-(k-2) monomial count.  Permuting the coordinates,
 (x_i, e_i) -> (x_sigma(i), e_sigma(i)), also commutes with S o T and
-carries sector v onto sector sigma(v), so the blocks fall into m + 1
-orbits, one per number of bits in v.  Only one block per orbit is
-inverted, by fraction-free elimination; the other inverses are signed
+carries sector v onto sector sigma(v), and so does right multiplication
+by the pseudoscalar e_N = e_1...e_m, which carries sector v onto
+v xor (2^m - 1).  The blocks thus fall into floor(m/2) + 1 orbits, one
+per min(|v|, m - |v|).  Only one block per orbit is inverted, by
+fraction-free integer elimination; the other inverses are signed
 permutations of it.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
@@ -403,29 +405,38 @@ def _composition(m: int, k: int, sectors=None) -> tuple[SectorColumns, ...]:
     return _compose(wrap, sand)
 
 
-def _conjugation(m: int, k: int, v: int) -> list[tuple[int, int]]:
-    """Sector v of P(k) as the image of sector 2^j - 1, j = |v|: (index, sign) per element.
+def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]]]:
+    """Sector v of P(k) as the image of its orbit representative: (j, (index, sign) per element).
 
-    The coordinate permutation sigma sends axes 0..j-1 onto v's bits and the
-    others onto the rest, both in ascending order.  It maps x^a e_A to
+    The representative is sector 2^j - 1, j = min(|v|, m - |v|).  When
+    |v| > j, right multiplication by the pseudoscalar e_N first carries
+    sector u = v xor (2^m - 1), of weight j, onto v: it keeps each
+    monomial and maps x^a e_A to the sign of e_A e_N times x^a e_(A xor N).
+    The coordinate permutation sigma sends axes 0..j-1 onto u's bits and
+    the others onto the rest, both in ascending order.  It maps x^a e_A to
     x^sigma(a) times e_A with sigma applied to each factor, which is
     +-1 times a basis element once the factors are sorted.  Entry i names
     the element of the representative's sector that lands on element i of
-    sector v, and that sign.
+    sector v, and the product of both signs.
     """
-    sigma = [b for b in range(m) if v >> b & 1] + [b for b in range(m) if not v >> b & 1]
-    rep = (1 << bin(v).count("1")) - 1
+    full = (1 << m) - 1
+    weight = bin(v).count("1")
+    j = min(weight, m - weight)
+    u = v if weight == j else v ^ full
+    sigma = [b for b in range(m) if u >> b & 1] + [b for b in range(m) if not u >> b & 1]
+    rep = (1 << j) - 1
     index, table = _monomial_table(m, k)
     source = []
-    for b, _ in table:
+    for b, par in table:
         i = index[tuple(b[t] for t in sigma)]
-        mask, blade, sign = rep ^ table[i][1], 0, 1
+        mask, blade = rep ^ table[i][1], 0
+        sign = 1 if u == v else blade_sign(u ^ par, full)
         for t in range(m):
             if mask >> t & 1:
                 sign *= blade_sign(blade, 1 << sigma[t])
                 blade |= 1 << sigma[t]
         source.append((i, sign))
-    return source
+    return j, source
 
 
 @lru_cache(maxsize=None)
@@ -433,35 +444,33 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
     """Per-sector inverses of the composed map on P(k-2), as (den, integer matrices).
 
     The inverse of sector v's block is its matrix divided by the one common
-    denominator den.  Permuting coordinates, (x_i, e_i) -> (x_sigma(i),
-    e_sigma(i)), commutes with S o T and carries sector v onto sector
-    sigma(v) by a signed permutation, so the sectors fall into m + 1 orbits,
-    one per blade-mask weight |v|.  Only the representatives v = 2^j - 1 are
-    composed and inverted; every other sector's inverse is its
-    representative's with rows and columns permuted and signs flipped.
-    Singularity would contradict the direct-sum theorem and is treated as an
-    internal error.
+    denominator den, the lcm of the representatives' reduced denominators.
+    Coordinate permutations and right multiplication by the pseudoscalar
+    commute with S o T (see the module docstring), so only the
+    representatives v = 2^j - 1, j <= m/2, are composed and inverted, by
+    `linalg.integer_inverse`; every other sector's inverse is its
+    representative's with rows and columns permuted and signs flipped
+    (`_conjugation`).  Both sides of each j <-> m - j pair cost the same to
+    invert, within a few percent from (3, 6) to (6, 6), so the side with
+    j = 0 is taken.  Singularity would contradict the direct-sum theorem
+    and is treated as an internal error.
     """
     n = monomial_count(m, k - 2)
-    representatives = [(1 << j) - 1 for j in range(m + 1)]
     inverses = []
-    for columns in _composition(m, k, representatives):
+    for columns in _composition(m, k, [(1 << j) - 1 for j in range(m // 2 + 1)]):
         try:
-            inverses.append(linalg.invert(_block(columns, n)))
+            inverses.append(linalg.integer_inverse(_block(columns, n)))
         except linalg.SingularMatrixError as exc:
             raise RuntimeError(
                 f"sandwich composition is singular on a sector of P({k - 2}) "
                 f"for m={m}; this indicates an implementation bug"
             ) from exc
-    den = lcm(*(x.denominator for inverse in inverses for row in inverse for x in row))
-    scaled = [
-        [[x.numerator * (den // x.denominator) for x in row] for row in inverse]
-        for inverse in inverses
-    ]
+    den = lcm(*(d for d, _ in inverses))
+    scaled = [[[x * (den // d) for x in row] for row in inverse] for d, inverse in inverses]
     out = []
     for v in range(1 << m):
-        source = _conjugation(m, k - 2, v)
-        block = scaled[bin(v).count("1")]
+        weight, source = _conjugation(m, k - 2, v)
+        block = scaled[weight]
         out.append(tuple(tuple(s * t * block[i][j] for j, t in source) for i, s in source))
     return den, tuple(out)
 

@@ -420,7 +420,10 @@ def test_tower_steps_match_closed_form_harmonic_projection(m, top):
 class TestOrbitSolver:
     """The solver inverts one sector per orbit and conjugates the rest."""
 
-    @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)] + [(5, 4)])
+    @pytest.mark.parametrize(
+        "m,k",
+        [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)] + [(5, 4), (5, 5), (6, 2), (6, 3), (6, 4)],
+    )
     def test_every_sector_equals_direct_elimination(self, m, k):
         den, matrices = fischer._composition_solver(m, k)
         n = monomial_count(m, k - 2)
@@ -433,17 +436,18 @@ class TestOrbitSolver:
 
     @pytest.mark.parametrize("m,k", [(2, 4), (3, 6), (4, 6), (5, 4)])
     def test_cold_build_inverts_one_block_per_orbit(self, monkeypatch, m, k):
+        """One inversion per pseudoscalar-merged orbit: j <-> m - j share one."""
         sizes = []
-        invert = linalg.invert
+        integer_inverse = linalg.integer_inverse
 
         def counted(matrix):
             sizes.append(len(matrix))
-            return invert(matrix)
+            return integer_inverse(matrix)
 
-        monkeypatch.setattr(linalg, "invert", counted)
+        monkeypatch.setattr(linalg, "integer_inverse", counted)
         fischer._composition_solver.cache_clear()
         fischer._composition_solver(m, k)
-        assert sizes == [monomial_count(m, k - 2)] * (m + 1)
+        assert sizes == [monomial_count(m, k - 2)] * (m // 2 + 1)
 
 
 class TestAlmansi:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import reference_rref
 from inframono import linalg
 from inframono.linalg import (
     SingularMatrixError,
+    integer_inverse,
     invert,
     mat_vec,
     nullspace,
@@ -88,6 +90,8 @@ class TestSolveInvert:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             solve([[F(1), F(2)]], [F(1)])
+        with pytest.raises(ValueError):
+            integer_inverse([[1, 2]])
 
 
 class TestNullspace:
@@ -188,6 +192,26 @@ class TestAgainstReference:
             singular += want is SingularMatrixError
         assert 0 < singular < len(square)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_inverse(self, monkeypatch, seed):
+        square = [mat for mat in shaped_matrices(seed)
+                  if len(mat) == len(mat[0]) and all(type(x) is int for row in mat for x in row)]
+        singular = 0
+        for mat in square:
+            snapshot = [row[:] for row in mat]
+            want = with_reference(monkeypatch, invert, mat)
+            got = outcome(integer_inverse, mat)
+            assert mat == snapshot
+            if want is SingularMatrixError:
+                assert got is SingularMatrixError
+                singular += 1
+                continue
+            den, inverse = got
+            assert all(type(x) is int for row in inverse for x in row)
+            assert den > 0 and gcd(den, *(x for row in inverse for x in row)) == 1
+            assert [[F(x, den) for x in row] for row in inverse] == want
+        assert 0 < singular < len(square)
+
     def test_empty_and_degenerate_shapes(self):
         assert rref([]) == ([], [])
         assert rref([[], []]) == ([[], []], [])
@@ -198,5 +222,7 @@ class TestAgainstReference:
     def test_singular_integer_input(self):
         with pytest.raises(SingularMatrixError):
             invert([[2, 4], [-1, -2]])
+        with pytest.raises(SingularMatrixError):
+            integer_inverse([[2, 4], [-1, -2]])
         with pytest.raises(SingularMatrixError):
             solve([[0, 0], [0, 0]], [0, 0])
