@@ -8,6 +8,7 @@ side cannot disagree with the exact side about orientation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -17,7 +18,7 @@ from .polynomials import CliffordPolynomial
 
 Point = Sequence[float]
 Field = Callable[[Point], "NumericMultivector"]
-_Stencil = Callable[[Field, Point, float], "NumericMultivector"]
+_Kernel = Callable[[Field, Point, "NumericMultivector", float], list[float]]
 
 
 class NumericMultivector:
@@ -112,6 +113,8 @@ def polynomial_function(p: CliffordPolynomial) -> Field:
 
 
 # -- finite-difference stencils -------------------------------------------------
+# The kernels work on blade-slot lists; each slot gets the IEEE operations, in the
+# order, of the NumericMultivector chain they replace, so results are bit-identical.
 
 
 def _shifted(point: Point, moves: dict[int, float]) -> list[float]:
@@ -126,57 +129,70 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step must be finite and positive, got {h}")
     if h * h == 0:
         raise ValueError(f"step {h} is too small: its square underflows to 0.0")
+    if math.isinf(4.0 * h * h):
+        raise ValueError(f"step {h} is too large: 4 h^2 overflows to inf")
 
 
-def _second_difference(
-    f: Field, point: Point, center: NumericMultivector, i: int, h: float
-) -> NumericMultivector:
+def _second_difference(f: Field, point: Point, center: list[float], i: int, h: float) -> list[float]:
     """Central 3-point second difference along axis i."""
-    plus = f(_shifted(point, {i: h}))
-    minus = f(_shifted(point, {i: -h}))
-    return (plus - center * 2.0 + minus) / (h * h)
+    plus, minus = f(_shifted(point, {i: h})).values, f(_shifted(point, {i: -h})).values
+    return [(p - c * 2.0 + q) / (h * h) for p, c, q in zip(plus, center, minus, strict=True)]
+
+
+def _hessian(f: Field, point: Point, center: NumericMultivector, h: float) -> list[list[list[float]]]:
+    """Pure differences on the diagonal, evaluated first; 4-point mixed ones off it."""
+    m, q, corners = center.dim, 4.0 * h * h, ((h, h), (h, -h), (-h, h), (-h, -h))
+    hess = [[_second_difference(f, point, center.values, i, h)] * m for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            evals = [f(_shifted(point, {i: a, j: b})).values for a, b in corners]
+            hess[i][j] = hess[j][i] = [(pp - pm - mp + mm) / q for pp, pm, mp, mm in zip(*evals, strict=True)]
+    return hess
+
+
+@functools.cache
+def _sandwich_signs(m: int) -> list[tuple[int, list[int]]]:
+    """Per (i, j), i-major: e_i e_b e_j = signs[b] e_(b ^ flip), each sign taken as two blade products."""
+    return [((1 << i) ^ (1 << j),
+             [blade_sign(1 << i, b) * blade_sign((1 << i) ^ b, 1 << j) for b in range(1 << m)])
+            for i in range(m) for j in range(m)]
+
+
+def _sandwich(f: Field, point: Point, center: NumericMultivector, h: float) -> list[float]:
+    total = [0.0] * len(center.values)
+    entries = [entry for row in _hessian(f, point, center, h) for entry in row]
+    for (flip, signs), entry in zip(_sandwich_signs(center.dim), entries, strict=True):
+        for b, v in enumerate(entry):
+            total[b ^ flip] += signs[b] * v
+    return total
+
+
+def _laplacian(f: Field, point: Point, center: NumericMultivector, h: float) -> list[float]:
+    total = [0.0] * len(center.values)
+    for i in range(center.dim):
+        total = [t + d for t, d in zip(total, _second_difference(f, point, center.values, i, h), strict=True)]
+    return total
 
 
 def fd_hessian(f: Field, point: Point, h: float) -> list[list[NumericMultivector]]:
     """Central-difference Hessian: 3-point pure and 4-point mixed stencils."""
     _check_step(h)
     center = f(list(map(float, point)))
-    m = center.dim
-    hess: list[list[NumericMultivector | None]] = [[None] * m for _ in range(m)]
-    for i in range(m):
-        hess[i][i] = _second_difference(f, point, center, i, h)
-    for i in range(m):
-        for j in range(i + 1, m):
-            pp = f(_shifted(point, {i: h, j: h}))
-            pm = f(_shifted(point, {i: h, j: -h}))
-            mp = f(_shifted(point, {i: -h, j: h}))
-            mm = f(_shifted(point, {i: -h, j: -h}))
-            mixed = (pp - pm - mp + mm) / (4.0 * h * h)
-            hess[i][j] = mixed
-            hess[j][i] = mixed
-    return hess  # type: ignore[return-value]
+    return [[NumericMultivector(center.dim, entry) for entry in row] for row in _hessian(f, point, center, h)]
 
 
 def fd_sandwich(f: Field, point: Point, h: float) -> NumericMultivector:
     """Finite-difference sandwich: sum_{i,j} e_i H_ij e_j; O(h^2) consistent."""
-    hess = fd_hessian(f, point, h)
-    m = len(hess)
-    total = NumericMultivector(m)
-    for i in range(m):
-        for j in range(m):
-            total = total + hess[i][j].mul_blade_left(1 << i).mul_blade_right(1 << j)
-    return total
+    _check_step(h)
+    center = f(list(map(float, point)))
+    return NumericMultivector(center.dim, _sandwich(f, point, center, h))
 
 
 def fd_laplacian(f: Field, point: Point, h: float) -> NumericMultivector:
     """Finite-difference Laplacian: sum of the pure second differences."""
     _check_step(h)
     center = f(list(map(float, point)))
-    m = center.dim
-    total = NumericMultivector(m)
-    for i in range(m):
-        total = total + _second_difference(f, point, center, i, h)
-    return total
+    return NumericMultivector(center.dim, _laplacian(f, point, center, h))
 
 
 # -- the closed-form plane field --------------------------------------------------
@@ -236,7 +252,9 @@ class TrigExpFamily:
 
     def __call__(self, point: Point) -> NumericMultivector:
         x1, x2 = point
-        return NumericMultivector(2, [0.0, self.f1(x1, x2), self.f2(x1, x2), 0.0])
+        up, down = self._profiles(x1, 0)
+        angle = self.n * x2
+        return NumericMultivector(2, [0.0, (up + down) * math.cos(angle), (down - up) * math.sin(angle), 0.0])
 
 
 def family_eval(family: TrigExpFamily, x1: float, x2: float) -> NumericMultivector:
@@ -252,8 +270,9 @@ def ode_system_residual(family: TrigExpFamily, x1: float) -> tuple[float, float]
     profiles solve both, so the residuals vanish to rounding error.
     """
     n = family.n
-    r_alpha = family.alpha(x1, 2) + n * n * family.alpha(x1) + 2 * n * family.beta(x1, 1)
-    r_beta = family.beta(x1, 2) + n * n * family.beta(x1) + 2 * n * family.alpha(x1, 1)
+    (u0, d0), (u1, d1), (u2, d2) = (family._profiles(x1, order) for order in range(3))
+    r_alpha = (u2 + d2) + n * n * (u0 + d0) + 2 * n * (d1 - u1)
+    r_beta = (d2 - u2) + n * n * (d0 - u0) + 2 * n * (u1 + d1)
     return (r_alpha, r_beta)
 
 
@@ -284,25 +303,33 @@ class GridScan:
         return self.max_residual / self.max_field if self.max_field else self.max_residual
 
 
-def _scan(stencil: _Stencil, f: Field, grid: Sequence[Point], h: float) -> GridScan:
+def _scan(kernel: _Kernel, f: Field, grid: Sequence[Point], h: float) -> GridScan:
     """Grid maxima of the stencil residual and of |f|; a non-finite residual raises."""
+    _check_step(h)
+    grid = list(grid)  # an empty iterator is truthy
+    if not grid:
+        raise ValueError("the grid is empty: there is no point to check")
     worst = 0.0
     scale = 0.0
     for point in grid:
-        residual = stencil(f, point, h).max_abs()
+        try:
+            center = f(list(map(float, point)))
+            residual = NumericMultivector(center.dim, kernel(f, point, center, h)).max_abs()
+        except OverflowError as exc:
+            raise OverflowError(f"{exc} at grid point {tuple(point)} with step {h}") from exc
         if not math.isfinite(residual):
             raise ValueError(f"non-finite residual {residual} at grid point {tuple(point)}")
         worst = max(worst, residual)
-        scale = max(scale, f(list(map(float, point))).max_abs())
+        scale = max(scale, center.max_abs())
     return GridScan(worst, scale)
 
 
 def sandwich_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
-    return _scan(fd_sandwich, f, grid, h)
+    return _scan(_sandwich, f, grid, h)
 
 
 def laplacian_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
-    return _scan(fd_laplacian, f, grid, h)
+    return _scan(_laplacian, f, grid, h)
 
 
 def family_harmonicity_scan(

@@ -14,6 +14,7 @@ from inframono import (
     blade_sign,
     monomial_basis,
 )
+from inframono.numeric import NumericMultivector
 from inframono.polynomials import monomial_sort_key
 
 
@@ -346,3 +347,78 @@ def reference_parse(text: str, m: int) -> CliffordPolynomial:
     poly = parser.parse_poly()
     parser.expect_end()
     return poly
+
+
+# Reference finite-difference stencils: chains of NumericMultivector
+# operations, as the stencils were first written.  `inframono.numeric` runs
+# the same IEEE operations in the same order on blade-slot lists, so the two
+# must agree bit for bit, -0.0 and NaN included.  Step and grid checks are
+# left to the library.
+
+
+def _reference_shifted(point, moves: dict[int, float]) -> list[float]:
+    out = list(map(float, point))
+    for axis, delta in moves.items():
+        out[axis] += delta
+    return out
+
+
+def _reference_second_difference(f, point, center, i: int, h: float):
+    plus = f(_reference_shifted(point, {i: h}))
+    minus = f(_reference_shifted(point, {i: -h}))
+    return (plus - center * 2.0 + minus) / (h * h)
+
+
+def reference_fd_hessian(f, point, h: float) -> list[list[NumericMultivector]]:
+    center = f(list(map(float, point)))
+    m = center.dim
+    hess = [[None] * m for _ in range(m)]
+    for i in range(m):
+        hess[i][i] = _reference_second_difference(f, point, center, i, h)
+    for i in range(m):
+        for j in range(i + 1, m):
+            pp = f(_reference_shifted(point, {i: h, j: h}))
+            pm = f(_reference_shifted(point, {i: h, j: -h}))
+            mp = f(_reference_shifted(point, {i: -h, j: h}))
+            mm = f(_reference_shifted(point, {i: -h, j: -h}))
+            hess[i][j] = hess[j][i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return hess
+
+
+def reference_fd_sandwich(f, point, h: float) -> NumericMultivector:
+    hess = reference_fd_hessian(f, point, h)
+    m = len(hess)
+    total = NumericMultivector(m)
+    for i in range(m):
+        for j in range(m):
+            total = total + hess[i][j].mul_blade_left(1 << i).mul_blade_right(1 << j)
+    return total
+
+
+def reference_fd_laplacian(f, point, h: float) -> NumericMultivector:
+    center = f(list(map(float, point)))
+    total = NumericMultivector(center.dim)
+    for i in range(center.dim):
+        total = total + _reference_second_difference(f, point, center, i, h)
+    return total
+
+
+def reference_scan(stencil, f, grid, h: float) -> tuple[float, float]:
+    """(max residual, max |f|) over the grid, each point's centre evaluated again for the scale."""
+    worst = scale = 0.0
+    for point in grid:
+        worst = max(worst, stencil(f, point, h).max_abs())
+        scale = max(scale, f(list(map(float, point))).max_abs())
+    return worst, scale
+
+
+def reference_family_field(family):
+    """The plane field through the public profile methods, one `_profiles` call per component."""
+    return lambda point: NumericMultivector(2, [0.0, family.f1(*point), family.f2(*point), 0.0])
+
+
+def reference_ode_system_residual(family, x1: float) -> tuple[float, float]:
+    n = family.n
+    r_alpha = family.alpha(x1, 2) + n * n * family.alpha(x1) + 2 * n * family.beta(x1, 1)
+    r_beta = family.beta(x1, 2) + n * n * family.beta(x1) + 2 * n * family.alpha(x1, 1)
+    return (r_alpha, r_beta)

@@ -200,6 +200,11 @@ class TestExitCodes:
             (("--tol", "nan"), "tolerance must be finite and non-negative, got nan"),
             (("--tol", "-1"), "tolerance must be finite and non-negative, got -1.0"),
             (("--h", "1e-200"), "error: step 1e-200 is too small: its square underflows to 0.0"),
+            (("--h", "1e170"), "error: step 1e+170 is too large: 4 h^2 overflows to inf"),
+            (
+                ("--c2", "1", "--c3", "0", "--n", "1", "--h", "1e100"),
+                "error: math range error at grid point (-1.0, -1.0) with step 1e+100",
+            ),
         ],
     )
     def test_family_bad_numbers_are_one(self, capsys, extra, message):

@@ -1,10 +1,21 @@
 import math
 import random
+import re
+import struct
 from fractions import Fraction
 
 import pytest
 
-from inframono import CliffordPolynomial, Multivector, laplacian, sandwich
+from helpers import (
+    random_polynomial,
+    reference_family_field,
+    reference_fd_hessian,
+    reference_fd_laplacian,
+    reference_fd_sandwich,
+    reference_ode_system_residual,
+    reference_scan,
+)
+from inframono import CliffordPolynomial, Multivector, laplacian, parse_polynomial, sandwich
 from inframono.numeric import (
     GridScan,
     NumericMultivector,
@@ -22,6 +33,8 @@ from inframono.numeric import (
 )
 
 SMALL_POINTS = [(0.25, -0.125), (0.125, 0.0625), (-0.2, 0.15)]
+STENCILS = [fd_hessian, fd_sandwich, fd_laplacian]
+SCANS = [sandwich_scan, laplacian_scan]
 
 
 def exact_value(p, point):
@@ -191,6 +204,49 @@ class TestFamilyScans:
         with pytest.raises(ValueError, match="non-finite residual"):
             scan(field, grid_points(3), 1e-4)
 
+    @pytest.mark.parametrize("h", [1.2e154, 1e170])
+    @pytest.mark.parametrize("op", STENCILS + SCANS)
+    def test_step_whose_stencil_divisor_overflows(self, op, h):
+        # 4 h^2 == inf would turn every mixed difference into 0.0; the step is rejected by name
+        f = polynomial_function(parse_polynomial("1/8*x1*x2*e1", 2))
+        where = grid_points(3) if op in SCANS else (0.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(f"step {h} is too large: 4 h^2 overflows to inf")):
+            op(f, where, h)
+
+    def test_largest_steps_still_difference(self):
+        # the exact sandwich of x1 x2 e1 / 8 is -1/4 e2, which the stencil of a quadratic hits exactly
+        f = polynomial_function(parse_polynomial("1/8*x1*x2*e1", 2))
+        assert sandwich_scan(f, grid_points(3), 1e150).max_residual == 0.25
+
+    @pytest.mark.parametrize("scan", SCANS + [family_harmonicity_scan])
+    def test_empty_grid_is_an_error(self, scan):
+        # no point checked must not read as a zero residual or a harmonic verdict
+        with pytest.raises(ValueError, match="the grid is empty"):
+            scan(TrigExpFamily(1, 0, 1, 0, 2), [])
+
+    def test_grid_may_be_any_iterable(self):
+        family, grid = TrigExpFamily(1, 0.5, 1, 0, 2), grid_points(3)
+        assert sandwich_scan(family, iter(grid)) == sandwich_scan(family, grid)
+        with pytest.raises(ValueError, match="the grid is empty"):
+            laplacian_scan(family, iter([]))
+
+    def test_overflow_names_point_and_step(self):
+        with pytest.raises(OverflowError, match=re.escape("at grid point (-1.0, -1.0) with step 1e+100")):
+            sandwich_scan(TrigExpFamily(1, 1, 0, 0, 1), grid_points(3), 1e100)
+
+    @pytest.mark.parametrize("scan, per_point", [(sandwich_scan, 9), (laplacian_scan, 5)])
+    def test_one_evaluation_per_stencil_point(self, scan, per_point):
+        # the centre serves both the stencil and the field scale
+        calls = []
+        family = TrigExpFamily(1, 0, 1, 0, 2)
+
+        def field(point):
+            calls.append(tuple(point))
+            return family(point)
+
+        scan(field, grid_points(3), 1e-4)
+        assert len(calls) == len(set(calls)) == per_point * 9
+
     @pytest.mark.parametrize("scan", [sandwich_scan, laplacian_scan])
     def test_step_whose_square_underflows(self, scan):
         # h * h == 0.0 would divide the stencils by zero; the step is rejected by name
@@ -266,3 +322,102 @@ class TestOdeResiduals:
     def test_constant_field(self):
         fam = TrigExpFamily(1.5, 0, -0.5, 0, 0.0)
         assert ode_system_residual(fam, -0.7) == (0.0, 0.0)
+
+    def test_profiles_once_per_order(self, monkeypatch):
+        orders = []
+        profiles = TrigExpFamily._profiles
+
+        def counted(self, x1, order):
+            orders.append(order)
+            return profiles(self, x1, order)
+
+        monkeypatch.setattr(TrigExpFamily, "_profiles", counted)
+        fam = TrigExpFamily(1.0, 0.8, -0.6, 0.5, 2.0)
+        fam((0.3, -0.2))
+        assert orders == [0]
+        ode_system_residual(fam, 0.3)
+        assert orders == [0, 0, 1, 2]
+
+
+def bits(value) -> bytes:
+    """Every float of a result, packed: -0.0 differs from 0.0 and a NaN compares by its bits."""
+    if isinstance(value, GridScan):
+        value = (value.max_residual, value.max_field)
+    if isinstance(value, NumericMultivector):
+        value = value.values
+    if isinstance(value, (list, tuple)):
+        return b"".join(map(bits, value))
+    return struct.pack("d", value)
+
+
+REFERENCE = {
+    fd_hessian: reference_fd_hessian,
+    fd_sandwich: reference_fd_sandwich,
+    fd_laplacian: reference_fd_laplacian,
+}
+REFERENCE_SCAN = {sandwich_scan: reference_fd_sandwich, laplacian_scan: reference_fd_laplacian}
+STEPS = [1e-4, 1e-2, 0.3]
+
+
+def _family_draws() -> list[TrigExpFamily]:
+    rng = random.Random(7)
+    draws = [TrigExpFamily(*(rng.uniform(-2, 2) for _ in range(4)), rng.uniform(-3, 3)) for _ in range(12)]
+    n_zero = TrigExpFamily(*(rng.uniform(-2, 2) for _ in range(4)), 0.0)
+    zero_c = [TrigExpFamily(0, 0, 0, 0, 1.7), TrigExpFamily(0, 0, 0, 0, 0)]
+    return draws + [n_zero, *zero_c, TrigExpFamily(1, 0, 1, 0, 2)]
+
+
+FAMILIES = _family_draws()
+
+
+def _special_field(point):
+    # -0.0 at the centre's neighbours, inf and NaN off the axes, an overflowing 2.0 * centre
+    x1, x2 = point
+    signed_zero = 0.0 if x1 == 0 else -0.0
+    return NumericMultivector(
+        2, [signed_zero, math.inf if x1 > 0 else -x2, math.nan if x2 > 0 else -0.0, 1e308 * x1]
+    )
+
+
+class TestAgainstReference:
+    """Slot-list kernels against the NumericMultivector chains of `helpers`, bit for bit."""
+
+    def assert_stencils_match(self, f, reference_f, points, steps=STEPS):
+        for h in steps:
+            for point in points:
+                for stencil, reference in REFERENCE.items():
+                    assert bits(stencil(f, point, h)) == bits(reference(reference_f, point, h)), (point, h)
+
+    def assert_scans_match(self, f, reference_f, grid, steps=STEPS):
+        for h in steps:
+            for scan, reference in REFERENCE_SCAN.items():
+                assert bits(scan(f, grid, h)) == bits(reference_scan(reference, reference_f, grid, h)), h
+
+    @pytest.mark.parametrize("index", range(len(FAMILIES)))
+    def test_family(self, index):
+        family, reference_f = FAMILIES[index], reference_family_field(FAMILIES[index])
+        grid = grid_points(5)
+        for point in grid:
+            assert bits(family(point)) == bits(reference_f(point))
+        self.assert_stencils_match(family, reference_f, grid_points(3) + SMALL_POINTS)
+        self.assert_scans_match(family, reference_f, grid)
+        for h in STEPS:
+            harmonic, scan = family_harmonicity_scan(family, grid, h, 1e-6)
+            worst, scale = reference_scan(reference_fd_laplacian, reference_f, grid, h)
+            assert harmonic == (worst <= 1e-6) and bits(scan) == bits((worst, scale))
+        for x1 in [-1.0, -0.5, 0.0, 0.5, 1.0, -0.37, 0.81]:
+            assert bits(ode_system_residual(family, x1)) == bits(reference_ode_system_residual(family, x1))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_polynomial_fields(self, m):
+        # beyond the plane, every (i, j) sign of the sandwich table is exercised
+        rng = random.Random(m)
+        for _ in range(4):
+            f = polynomial_function(random_polynomial(rng, m, rng.randint(2, 4), homogeneous=False))
+            points = [[rng.uniform(-1, 1) for _ in range(m)] for _ in range(3)]
+            self.assert_stencils_match(f, f, points)
+            self.assert_scans_match(f, f, points)
+
+    def test_signed_zero_inf_and_nan(self):
+        points = [(0.0, 0.0), (0.9, -0.3), (-0.9, 0.3), (0.0, 0.5), (1e-4, -1e-4)]
+        self.assert_stencils_match(_special_field, _special_field, points, [1e-4, 0.5])
