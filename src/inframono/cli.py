@@ -202,28 +202,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=k_required, default=None, help="expected degree")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    def add_poly_input(p: argparse.ArgumentParser, count: str = "?") -> None:
-        p.add_argument("polynomial", nargs=count, default=[] if count in ("*", "?") else None)
+    def add_poly_input(p: argparse.ArgumentParser) -> None:
+        p.add_argument("polynomial", nargs="*", default=[])
         p.add_argument("--file", default=None, help="read one polynomial per line")
 
     p_check = sub.add_parser("check", help="evaluate every predicate on a polynomial")
     add_common(p_check)
-    add_poly_input(p_check, "*")
+    add_poly_input(p_check)
     p_check.set_defaults(handler=_cmd_check)
 
     p_dec = sub.add_parser("decompose", help="split P into infra part plus x*quotient*x")
     add_common(p_dec, with_k=True)
-    add_poly_input(p_dec, "*")
+    add_poly_input(p_dec)
     p_dec.set_defaults(handler=_cmd_decompose)
 
     p_tow = sub.add_parser("tower", help="complete layered decomposition")
     add_common(p_tow, with_k=True)
-    add_poly_input(p_tow, "*")
+    add_poly_input(p_tow)
     p_tow.set_defaults(handler=_cmd_tower)
 
     p_inner = sub.add_parser("inner", help="Fischer inner product of two polynomials")
     add_common(p_inner)
-    add_poly_input(p_inner, "*")
+    add_poly_input(p_inner)
     p_inner.set_defaults(handler=_cmd_inner)
 
     p_dims = sub.add_parser("dims", help="space dimensions and the infra subspace dimension")
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alm = sub.add_parser("almansi", help="split a harmonic polynomial into monogenic parts")
     add_common(p_alm, with_k=True)
-    add_poly_input(p_alm, "*")
+    add_poly_input(p_alm)
     p_alm.set_defaults(handler=_cmd_almansi)
 
     p_fam = sub.add_parser("family", help="grid residuals for the closed-form plane field")

@@ -26,9 +26,8 @@ permutations of it.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
-as sparse integer columns from `polynomials._axis_moves`, the
-per-monomial rule the polynomial operators apply as well; one
-monomial's moves serve all 2^m sectors.  A polynomial stores integer
+as sparse integer columns with `polynomials._apply_integer`, the integer
+core the polynomial operators run as well.  A polynomial stores integer
 numerators over one denominator, so a splitting step scatters them into
 sector-local integer coordinates, solves there, and gathers the two
 parts back into numerators.  The complete decomposition
@@ -59,10 +58,9 @@ from .operators import (
 from .polynomials import (
     CliffordPolynomial,
     Monomial,
-    _axis_moves,
+    _apply_integer,
     _combination,
     _from_fractions,
-    _term_signs,
     euler,
     monomial_basis,
     monomial_count,
@@ -81,15 +79,12 @@ def poly_basis(m: int, k: int) -> tuple[tuple[Monomial, int], ...]:
     return tuple((mono, mask) for mono in monomial_basis(m, k) for mask in blades)
 
 
-def _parity(mono: Monomial) -> int:
-    return sum(1 << j for j, e in enumerate(mono) if e & 1)
-
-
 @lru_cache(maxsize=None)
 def _monomial_table(m: int, k: int) -> tuple[dict[Monomial, int], tuple[tuple[Monomial, int], ...]]:
-    """Index of each degree-k monomial, and (monomial, parity) by index."""
+    """Index of each degree-k monomial, and (monomial, parity: mask of odd exponents) by index."""
     monos = monomial_basis(m, k)
-    return {a: i for i, a in enumerate(monos)}, tuple((a, _parity(a)) for a in monos)
+    parities = (sum(1 << j for j, e in enumerate(a) if e & 1) for a in monos)
+    return {a: i for i, a in enumerate(monos)}, tuple(zip(monos, parities))
 
 
 @lru_cache(maxsize=None)
@@ -267,34 +262,17 @@ def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
 # -- compiled sector operators ----------------------------------------------------
 
 
-# Degree change of each operator.  The primitives move x^a one axis j at a
-# time, by `polynomials._axis_moves`, as the polynomial operators do; the
-# composites apply their primitives first to last, so sandwich = right
-# Dirac after left Dirac and wrap_x = x_left after x_right, as in
-# `operators.sandwich` and `wrap_x`.
-_DEGREE_SHIFT = {"dirac_left": -1, "dirac_right": -1, "x_left": 1, "x_right": 1,
-                 "laplacian": -2, "sandwich": -2, "wrap_x": 2}
-_COMPOSITES = {"sandwich": ("dirac_left", "dirac_right"), "wrap_x": ("x_right", "x_left")}
+# Degree change of each primitive, and each operator as the chain of
+# primitives it applies first to last, by `polynomials._apply_integer` as
+# the polynomial operators do: sandwich = right Dirac after left Dirac and
+# wrap_x = x_left after x_right, as in `operators.sandwich` and `wrap_x`.
+_PRIMITIVE_SHIFT = {"dirac_left": -1, "dirac_right": -1, "x_left": 1, "x_right": 1, "laplacian": -2}
+_CHAINS = {**{op: (op,) for op in _PRIMITIVE_SHIFT},
+           "sandwich": ("dirac_left", "dirac_right"), "wrap_x": ("x_right", "x_left")}
+_DEGREE_SHIFT = {op: sum(_PRIMITIVE_SHIFT[step] for step in chain) for op, chain in _CHAINS.items()}
 
 #: Columns of one sector block: per input monomial, (output monomial index, value) pairs.
 SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _compose(
-    first: tuple[SectorColumns, ...], second: tuple[SectorColumns, ...]
-) -> tuple[SectorColumns, ...]:
-    """Sector blocks of `second` after `first`."""
-    out = []
-    for cols_first, cols_second in zip(first, second):
-        block = []
-        for col in cols_first:
-            acc: dict[int, int] = {}
-            for r, a in col:
-                for r2, b in cols_second[r]:
-                    acc[r2] = acc.get(r2, 0) + a * b
-            block.append(tuple(sorted((r, x) for r, x in acc.items() if x)))
-        out.append(tuple(block))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -306,35 +284,30 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
     column i is the image of the sector's basis element on the i-th
     degree-k_in monomial, as (monomial index in degree k_in + shift, value)
     pairs with nonzero integer values, ascending by index.  Columns are
-    empty when the output degree is negative.
+    empty when the output degree is negative.  Every primitive keeps
+    sectors, so one run of op's chain on the sum over v of
+    x^a e_(v xor parity(a)) gives column a of all 2^m blocks.
     """
-    if op not in _DEGREE_SHIFT:
+    if op not in _CHAINS:
         raise ValueError(f"unknown operator {op!r}")
     if k_in < 0:
         raise ValueError(f"degree must be non-negative, got {k_in}")
-    if op in _COMPOSITES:
-        blocks = None
-        k = k_in
-        for step in _COMPOSITES[op]:
-            if k < 0:
-                break
-            part = sector_operator(step, m, k)
-            blocks = part if blocks is None else _compose(blocks, part)
-            k += _DEGREE_SHIFT[step]
-        return blocks
-    table = _monomial_table(m, k_in)[1]
+    n = 1 << m
     k_out = k_in + _DEGREE_SHIFT[op]
-    if k_out < 0:
-        return tuple(tuple(() for _ in table) for _ in range(1 << m))
-    row = _monomial_table(m, k_out)[0]
-    signs = _term_signs(op, m)
-    # each monomial's moves, sorted by output row once, serve every sector
-    moves = [(par, sorted((row[b], j, factor) for b, j, _, factor in _axis_moves(op, a)))
-             for a, par in table]
-    return tuple(
-        tuple(tuple((r, factor * signs[v ^ par][j]) for r, j, factor in col) for par, col in moves)
-        for v in range(1 << m)
-    )
+    index, table = _monomial_table(m, k_out) if k_out >= 0 else ({}, ())
+    blocks = [[] for _ in range(n)]
+    for a, par in _monomial_table(m, k_in)[1]:
+        numerators = {a: {v ^ par: 1 for v in range(n)}}
+        for step in _CHAINS[op]:
+            numerators = _apply_integer(step, m, numerators)
+        columns = [[] for _ in range(n)]
+        for b, blades in numerators.items():
+            r = index[b]
+            for mask, x in blades.items():
+                columns[mask ^ table[r][1]].append((r, x))
+        for block, col in zip(blocks, columns):
+            block.append(tuple(sorted(col)))
+    return tuple(map(tuple, blocks))
 
 
 def _apply(columns: SectorColumns, vec: list[int], n_rows: int) -> list[int]:
@@ -392,17 +365,21 @@ def _weights(m: int, k: int) -> tuple[int, ...]:
 # -- sector decomposition --------------------------------------------------------
 
 
-def _composition(m: int, k: int, sectors=None) -> tuple[SectorColumns, ...]:
-    """Sector blocks S o T of Q -> sandwich(x Q x) acting on P(k-2).
+def _composition(m: int, k: int, sectors) -> list[list[list[int]]]:
+    """Dense integer blocks S o T of Q -> sandwich(x Q x) on P(k-2), one per listed sector.
 
-    All 2^m sectors, or only those listed in ``sectors``.
+    Column i of sector v's block is S_v T_v e_i, applied by `_apply`.
     """
     if k < 2:
         raise ValueError(f"composition blocks need degree k >= 2, got {k}")
+    n, n_k = monomial_count(m, k - 2), monomial_count(m, k)
     wrap, sand = sector_operator("wrap_x", m, k - 2), sector_operator("sandwich", m, k)
-    if sectors is not None:
-        wrap, sand = tuple(wrap[v] for v in sectors), tuple(sand[v] for v in sectors)
-    return _compose(wrap, sand)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    for v in sectors:
+        columns = [_apply(sand[v], _apply(wrap[v], e, n_k), n) for e in unit]
+        out.append([list(row) for row in zip(*columns)])
+    return out
 
 
 def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]]]:
@@ -455,11 +432,10 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
     j = 0 is taken.  Singularity would contradict the direct-sum theorem
     and is treated as an internal error.
     """
-    n = monomial_count(m, k - 2)
     inverses = []
-    for columns in _composition(m, k, [(1 << j) - 1 for j in range(m // 2 + 1)]):
+    for block in _composition(m, k, [(1 << j) - 1 for j in range(m // 2 + 1)]):
         try:
-            inverses.append(linalg.integer_inverse(_block(columns, n)))
+            inverses.append(linalg.integer_inverse(block))
         except linalg.SingularMatrixError as exc:
             raise RuntimeError(
                 f"sandwich composition is singular on a sector of P({k - 2}) "
@@ -477,9 +453,7 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
 
 def composition_rank(m: int, k: int) -> int:
     """Rank of Q -> sandwich(x Q x) on P(k-2), by exact sector elimination."""
-    blocks = _composition(m, k)  # rejects k < 2
-    n = monomial_count(m, k - 2)
-    return sum(linalg.rank(_block(columns, n)) for columns in blocks)
+    return sum(map(linalg.rank, _composition(m, k, range(1 << m))))  # rejects k < 2
 
 
 def sandwich_rank(m: int, k: int) -> int:

@@ -10,8 +10,9 @@ scaled matrix and no gcd is taken until the end.  A pivot step touches
 only the columns after the pivot and the free columns before it; the
 cleared pivot columns are not recomputed.  At the end every row is the
 same integer scale, the last leading minor, times its row of the unique
-RREF.  `rref` divides by that scale once, so `rank`, `solve`, `invert`
-and `nullspace` return Fractions whatever the input;
+RREF.  `rref` divides by that scale once, so `solve`, `invert` and
+`nullspace` return Fractions whatever the input, and `rank` the int
+number of pivots;
 `integer_inverse` divides instead by the gcd of the scale and the
 inverse's entries and returns an integer matrix over one denominator,
 building no Fraction.  `mat_vec` keeps the type of its input, so an

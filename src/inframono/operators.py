@@ -7,15 +7,15 @@ tolerances.  The central object is the sandwich operator
 
 the composition of the left and right Dirac actions in either order.
 Polynomials annihilated by it are called inframonogenic.  Both Dirac
-actions and the Laplacian apply `polynomials._axis_moves` once to each
-monomial and then to all of its blades; the compiled sector operators of
-`fischer` are built from the same rule.
+actions and the Laplacian run one integer core,
+`polynomials._apply_integer`, which reads each monomial's moves once and
+applies them to all of its blades; the compiled sector operators of
+`fischer` are built by the same core.
 
 Polynomials are stored as integer numerators over one denominator; the
-Dirac-type operators and the predicates run that rule's integer core,
-`polynomials._apply_integer`, on the stored numerators and build no
-Fraction.  Every operator has an integer matrix, so the denominator
-cannot change whether a chain of them sends p to zero.
+Dirac-type operators and the predicates run that core on the stored
+numerators and build no Fraction.  Every operator has an integer matrix,
+so the denominator cannot change whether a chain of them sends p to zero.
 """
 
 from __future__ import annotations
@@ -92,12 +92,17 @@ def is_inframonogenic(p: CliffordPolynomial) -> bool:
 
 
 def is_k_monogenic(p: CliffordPolynomial, k: int, side: str = "both") -> bool:
-    """Annihilation by the k-th Dirac power from the given side(s)."""
+    """Annihilation by the k-th Dirac power from the given side(s).
+
+    Each Dirac action lowers the degree by one, so D^k p = 0 once k > deg p;
+    the chain is capped at deg p + 1 passes, whatever k.
+    """
     if k < 1:
         raise ValueError(f"order must be positive, got {k}")
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
-    return all(_vanishes(p, *(f"dirac_{action_side}",) * k)
+    passes = min(k, (p.degree() or 0) + 1)
+    return all(_vanishes(p, *(f"dirac_{action_side}",) * passes)
                for action_side in ("left", "right") if side in (action_side, "both"))
 
 

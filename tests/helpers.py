@@ -97,7 +97,7 @@ def reference_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
 
 # Reference operators built from general Multivector products and `partial`.
 # The library's polynomial operators and its compiled sector operators all
-# apply one per-monomial rule, `polynomials._axis_moves`; these share none of it.
+# run one integer core, `polynomials._apply_integer`; these share none of it.
 
 
 def _reference_dirac(p: CliffordPolynomial, left: bool) -> CliffordPolynomial:

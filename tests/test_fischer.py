@@ -426,8 +426,7 @@ class TestOrbitSolver:
     )
     def test_every_sector_equals_direct_elimination(self, m, k):
         den, matrices = fischer._composition_solver(m, k)
-        n = monomial_count(m, k - 2)
-        direct = [linalg.invert(fischer._block(cols, n)) for cols in fischer._composition(m, k)]
+        direct = [linalg.invert(block) for block in fischer._composition(m, k, range(1 << m))]
         assert len(matrices) == len(direct) == 1 << m
         for matrix, inverse in zip(matrices, direct):
             assert [[Fraction(x, den) for x in row] for row in matrix] == inverse

@@ -204,6 +204,15 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_k_monogenic(p, 2, "sideways")
 
+    def test_k_monogenic_order_beyond_degree(self):
+        """D^k p = 0 once k > deg p, so any larger order answers as fast as deg p + 1."""
+        p = poly(2, {(3, 0): Multivector.basis_vector(2, 1)})  # D_L^3 (x1^3 e1) = 6
+        assert not is_k_monogenic(p, 3, "left")
+        for side in ("left", "right", "both"):
+            assert is_k_monogenic(p, 4, side)
+            assert is_k_monogenic(p, 10**12, side)
+        assert is_k_monogenic(CliffordPolynomial.zero(2), 10**12)
+
     def test_monogenic_implies_inframonogenic(self):
         sampler = KernelSampler(3, 3, seed=12)
         for _ in range(10):

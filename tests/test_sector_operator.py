@@ -31,7 +31,7 @@ from helpers import (
 )
 
 # The product-based references, not the library's polynomial operators,
-# which apply the same per-monomial rule (`_axis_moves`) as the compiled columns.
+# which run the same integer core (`_apply_integer`) as the compiled columns.
 REFERENCE_OPERATORS = {
     "dirac_left": (reference_dirac_left, -1),
     "dirac_right": (reference_dirac_right, -1),
@@ -95,6 +95,24 @@ def test_decompose_matches_dense_reference_solve(m, k):
         result = fischer_decompose(p)
         assert result.quotient == q
         assert result.infra_part == p - wrap_x(q)
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)])
+def test_composition_equals_dense_product(m, k):
+    """Each dense S o T block is the product of the sandwich and wrap_x sector blocks."""
+    n, n_k = monomial_count(m, k - 2), monomial_count(m, k)
+    sand, wrap = sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2)
+    blocks = fischer._composition(m, k, range(1 << m))
+    assert len(blocks) == 1 << m
+    for v, block in enumerate(blocks):
+        assert block == matmul(fischer._block(sand[v], n), fischer._block(wrap[v], n_k)), v
+
+
+def test_decompose_caches_two_sector_blocks():
+    """A split reads the sandwich blocks on P(k) and the wrap_x blocks on P(k-2), nothing else."""
+    sector_operator.cache_clear()
+    fischer_decompose(CliffordPolynomial.monomial(3, (2, 1, 1), 1))
+    assert sector_operator.cache_info().currsize == 2
 
 
 def _perturbed_solver(monkeypatch, m, k):
