@@ -21,8 +21,8 @@ carries sector v onto sector sigma(v), and so does right multiplication
 by the pseudoscalar e_N = e_1...e_m, which carries sector v onto
 v xor (2^m - 1).  The blocks thus fall into floor(m/2) + 1 orbits, one
 per min(|v|, m - |v|).  Only one block per orbit is inverted, by
-fraction-free integer elimination; the other inverses are signed
-permutations of it.
+fraction-free integer elimination, and only it is kept: every other
+sector solves through it by signed permutations of its vectors.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
@@ -382,7 +382,7 @@ def _composition(m: int, k: int, sectors) -> list[list[list[int]]]:
     return out
 
 
-def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]]]:
+def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
     """Sector v of P(k) as the image of its orbit representative: (j, (index, sign) per element).
 
     The representative is sector 2^j - 1, j = min(|v|, m - |v|).  When
@@ -394,7 +394,8 @@ def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]]]:
     x^sigma(a) times e_A with sigma applied to each factor, which is
     +-1 times a basis element once the factors are sorted.  Entry i names
     the element of the representative's sector that lands on element i of
-    sector v, and the product of both signs.
+    sector v, and the product of both signs; the third value is the
+    inverse map, with the same signs.
     """
     full = (1 << m) - 1
     weight = bin(v).count("1")
@@ -413,24 +414,25 @@ def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]]]:
                 sign *= blade_sign(blade, 1 << sigma[t])
                 blade |= 1 << sigma[t]
         source.append((i, sign))
-    return j, source
+    return j, source, [(i, sign) for _, i, sign in sorted((t, i, sign) for i, (t, sign) in enumerate(source))]
 
 
 @lru_cache(maxsize=None)
-def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """Per-sector inverses of the composed map on P(k-2), as (den, integer matrices).
+def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...], tuple]:
+    """Inverses of the composed map on P(k-2): (den, representatives' integer matrices, conjugations).
 
-    The inverse of sector v's block is its matrix divided by the one common
-    denominator den, the lcm of the representatives' reduced denominators.
     Coordinate permutations and right multiplication by the pseudoscalar
     commute with S o T (see the module docstring), so only the
     representatives v = 2^j - 1, j <= m/2, are composed and inverted, by
-    `linalg.integer_inverse`; every other sector's inverse is its
-    representative's with rows and columns permuted and signs flipped
-    (`_conjugation`).  Both sides of each j <-> m - j pair cost the same to
-    invert, within a few percent from (3, 6) to (6, 6), so the side with
-    j = 0 is taken.  Singularity would contradict the direct-sum theorem
-    and is treated as an internal error.
+    `linalg.integer_inverse`, and entry j of the second value is orbit j's
+    inverse times den, the lcm of their reduced denominators.  Entry v of
+    the third value is `_conjugation(m, k - 2, v)`: with (src_i, s_i) its
+    source, sector v's inverse times den has entry (i, l) equal to
+    s_i s_l R[src_i][src_l], R being its orbit's matrix.  Both sides of
+    each j <-> m - j pair cost the same to invert, within a few percent
+    from (3, 6) to (6, 6), so the side with j = 0 is taken.  Singularity
+    would contradict the direct-sum theorem and is treated as an internal
+    error.
     """
     inverses = []
     for block in _composition(m, k, [(1 << j) - 1 for j in range(m // 2 + 1)]):
@@ -442,13 +444,8 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
                 f"for m={m}; this indicates an implementation bug"
             ) from exc
     den = lcm(*(d for d, _ in inverses))
-    scaled = [[[x * (den // d) for x in row] for row in inverse] for d, inverse in inverses]
-    out = []
-    for v in range(1 << m):
-        weight, source = _conjugation(m, k - 2, v)
-        block = scaled[weight]
-        out.append(tuple(tuple(s * t * block[i][j] for j, t in source) for i, s in source))
-    return den, tuple(out)
+    reps = tuple(tuple(tuple(x * (den // d) for x in row) for row in inverse) for d, inverse in inverses)
+    return den, reps, tuple(_conjugation(m, k - 2, v) for v in range(1 << m))
 
 
 def composition_rank(m: int, k: int) -> int:
@@ -458,9 +455,7 @@ def composition_rank(m: int, k: int) -> int:
 
 def sandwich_rank(m: int, k: int) -> int:
     """Rank of the sandwich operator on P(k), by exact sector elimination."""
-    if k < 2:
-        return 0
-    n = monomial_count(m, k - 2)
+    n = monomial_count(m, k - 2) if k >= 2 else 0  # sector_operator rejects k < 0
     return sum(linalg.rank(_block(columns, n)) for columns in sector_operator("sandwich", m, k))
 
 
@@ -545,20 +540,22 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
         zero = CliffordPolynomial.zero(m)
         return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
     vec, den = _sector_coords(p, k)
-    solver_den, inverses = _composition_solver(m, k)
+    solver_den, reps, sectors = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
     weights = _weights(m, k)
     wrap = sector_operator("wrap_x", m, k - 2)
     infra: SectorVector = []
     quotient: SectorVector = []
     sandwich_zero = orthogonal = True
-    for c, s_cols, t_cols, inverse in zip(vec, sector_operator("sandwich", m, k), wrap, inverses):
+    for c, s_cols, t_cols, (j, source, back) in zip(vec, sector_operator("sandwich", m, k), wrap, sectors):
         if not any(c):
             infra.append(c)
             quotient.append([0] * n_low)
             continue
         rhs = _apply(s_cols, c, n_low)
-        q = linalg.mat_vec(inverse, rhs) if any(rhs) else [0] * n_low
+        # q_i = s_i (R y)[src_i] with y[src_l] = s_l rhs_l, R = reps[j]: orbit j's inverse in this sector
+        r = linalg.mat_vec(reps[j], [sign * rhs[i] for i, sign in back]) if any(rhs) else [0] * n_low
+        q = [sign * r[i] for i, sign in source]
         inf = [solver_den * x - y for x, y in zip(c, _apply(t_cols, q, len(c)))]
         sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
         if orthogonal:

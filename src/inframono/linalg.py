@@ -11,8 +11,8 @@ only the columns after the pivot and the free columns before it; the
 cleared pivot columns are not recomputed.  At the end every row is the
 same integer scale, the last leading minor, times its row of the unique
 RREF.  `rref` divides by that scale once, so `solve`, `invert` and
-`nullspace` return Fractions whatever the input, and `rank` the int
-number of pivots;
+`nullspace` return Fractions whatever the input; `rank` counts the
+pivots of the integer elimination and builds no Fraction;
 `integer_inverse` divides instead by the gcd of the scale and the
 inverse's entries and returns an integer matrix over one denominator,
 building no Fraction.  `mat_vec` keeps the type of its input, so an
@@ -79,20 +79,22 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
     return pivots, prev
 
 
+def _integer_rows(matrix: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators: integer rows with the same RREF."""
+    scales = (lcm(*(x.denominator for x in row)) for row in matrix)
+    return [[x.numerator * (scale // x.denominator) for x in row] for row, scale in zip(matrix, scales)]
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form, in Fractions, and the list of pivot columns."""
-    work = []
-    for row in matrix:
-        scale = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = _integer_rows(matrix)
     pivots, scale = _eliminate(work)
     return [[Fraction(x, scale) for x in row] for row in work], pivots
 
 
 def rank(matrix: Matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(matrix)[1])
+    """Number of pivots of the integer elimination; no RREF is built."""
+    return len(_eliminate(_integer_rows(matrix))[0])
 
 
 def nullspace(matrix: Matrix) -> list[Vector]:

@@ -97,8 +97,8 @@ def is_k_monogenic(p: CliffordPolynomial, k: int, side: str = "both") -> bool:
     Each Dirac action lowers the degree by one, so D^k p = 0 once k > deg p;
     the chain is capped at deg p + 1 passes, whatever k.
     """
-    if k < 1:
-        raise ValueError(f"order must be positive, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"order must be a positive int, got {k!r}")
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
     passes = min(k, (p.degree() or 0) + 1)

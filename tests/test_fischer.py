@@ -182,6 +182,13 @@ class TestOperatorMatrices:
         with pytest.raises(ValueError):
             embed_matrix(2, 0)
 
+    def test_sandwich_rank_rejects_a_negative_degree(self):
+        """Below degree 2 the rank is 0; a negative degree raises as the other counts do."""
+        assert sandwich_rank(3, 0) == sandwich_rank(3, 1) == 0
+        for count in (sandwich_rank, infra_space_dim, monomial_count):
+            with pytest.raises(ValueError, match="degree must be non-negative"):
+                count(3, -1)
+
 
 class TestCoords:
     def test_round_trip(self):
@@ -418,18 +425,24 @@ def test_tower_steps_match_closed_form_harmonic_projection(m, top):
 
 
 class TestOrbitSolver:
-    """The solver inverts one sector per orbit and conjugates the rest."""
+    """The solver inverts and keeps one sector per orbit; the rest are its conjugates."""
 
     @pytest.mark.parametrize(
         "m,k",
         [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)] + [(5, 4), (5, 5), (6, 2), (6, 3), (6, 4)],
     )
     def test_every_sector_equals_direct_elimination(self, m, k):
-        den, matrices = fischer._composition_solver(m, k)
+        den, reps, sectors = fischer._composition_solver(m, k)
         direct = [linalg.invert(block) for block in fischer._composition(m, k, range(1 << m))]
-        assert len(matrices) == len(direct) == 1 << m
-        for matrix, inverse in zip(matrices, direct):
+        assert len(reps) == m // 2 + 1
+        assert len(sectors) == len(direct) == 1 << m
+        for (j, source, back), inverse in zip(sectors, direct):
+            # sector v's inverse, expanded from its orbit's: entry (i, l) is s_i s_l R[src_i][src_l]
+            rep = reps[j]
+            matrix = [[s * t * rep[i][l] for l, t in source] for i, s in source]
             assert [[Fraction(x, den) for x in row] for row in matrix] == inverse
+            assert len(back) == len(source)
+            assert all(back[t] == (i, s) for i, (t, s) in enumerate(source))
         dens = [lcm(*(x.denominator for row in inverse for x in row)) for inverse in direct]
         assert den == lcm(*dens)
 

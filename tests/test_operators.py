@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -203,6 +204,12 @@ class TestPredicates:
             is_k_monogenic(p, 0)
         with pytest.raises(ValueError):
             is_k_monogenic(p, 2, "sideways")
+
+    def test_k_monogenic_rejects_a_non_integer_order(self):
+        p = poly(2, {(1, 0): Multivector.basis_vector(2, 1)})  # x1 e1
+        for k in (5.5, 1.5, Fraction(7, 2), 2.0, "3"):
+            with pytest.raises(ValueError, match="order"):
+                is_k_monogenic(p, k)
 
     def test_k_monogenic_order_beyond_degree(self):
         """D^k p = 0 once k > deg p, so any larger order answers as fast as deg p + 1."""

@@ -115,13 +115,13 @@ def test_decompose_caches_two_sector_blocks():
     assert sector_operator.cache_info().currsize == 2
 
 
-def _perturbed_solver(monkeypatch, m, k):
-    """Replace the cached (m, k) solver by a copy with one inverse entry off by one."""
+def _perturbed_solver(monkeypatch, m, k, j=0):
+    """Replace the cached (m, k) solver by a copy with one entry of orbit j's inverse off by one."""
     real = fischer._composition_solver
-    den, inverses = real(m, k)
-    block = [list(row) for row in inverses[0]]
+    den, reps, sectors = real(m, k)
+    block = [list(row) for row in reps[j]]
     block[0][0] += 1
-    fake = (den, (tuple(map(tuple, block)),) + inverses[1:])
+    fake = (den, reps[:j] + (tuple(map(tuple, block)),) + reps[j + 1:], sectors)
     monkeypatch.setattr(fischer, "_composition_solver",
                         lambda m2, k2: fake if (m2, k2) == (m, k) else real(m2, k2))
 
@@ -139,6 +139,22 @@ def test_flags_catch_a_corrupted_inverse(monkeypatch):
     assert fischer_tower(p).checks.all_ok is False
     monkeypatch.undo()
     assert fischer_decompose(p).checks.all_ok
+
+
+@pytest.mark.parametrize("j,v", [(0, 0b111), (1, 0b010)])
+def test_flags_catch_a_corrupted_representative_in_another_sector(monkeypatch, j, v):
+    """Sector v is no representative, so its solve reads orbit j's inverse through a signed permutation."""
+    m, k = 3, 4
+    p = CliffordPolynomial(m, {a: Multivector(m, {v ^ par: i + 1})
+                               for i, (a, par) in enumerate(fischer._monomial_table(m, k)[1])})
+    vec, _ = fischer._sector_coords(p, k)
+    assert [u for u, c in enumerate(vec) if any(c)] == [v]
+    honest = fischer_decompose(p)
+    assert honest.checks.all_ok
+    _perturbed_solver(monkeypatch, m, k, j)
+    result = fischer_decompose(p)
+    assert result.quotient != honest.quotient
+    assert result.checks.sandwich_zero is False
 
 
 def test_tower_flags_catch_a_corrupted_lower_layer(monkeypatch):
