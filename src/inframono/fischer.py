@@ -87,19 +87,6 @@ def _monomial_table(m: int, k: int) -> tuple[dict[Monomial, int], tuple[tuple[Mo
     return {a: i for i, a in enumerate(monos)}, tuple(zip(monos, parities))
 
 
-@lru_cache(maxsize=None)
-def _sector_positions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Positions in `poly_basis` of sector v's basis elements, indexed by v.
-
-    Sector v holds one basis element per monomial a, with blade
-    v xor parity(a); its local coordinate index is the monomial's index.
-    """
-    n = 1 << m
-    slot = {mask: i for i, mask in enumerate(blades_in_order(m))}
-    table = _monomial_table(m, k)[1]
-    return tuple(tuple(i * n + slot[v ^ par] for i, (_, par) in enumerate(table)) for v in range(n))
-
-
 # Sector-local integer coordinates: entry v lists the numerators of sector v.
 SectorVector = list[list[int]]
 
@@ -127,15 +114,10 @@ def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolyno
 
 
 def coords(p: CliffordPolynomial, k: int) -> list[Fraction]:
-    """Coordinate vector of a homogeneous degree-k polynomial (zero allowed)."""
+    """Coordinate vector of a homogeneous degree-k polynomial (zero allowed), in `poly_basis` order."""
     if not p.is_homogeneous(k):
         raise ValueError(f"polynomial is not homogeneous of degree {k}")
-    vec, den = _sector_coords(p, k)
-    flat = [Fraction(0)] * space_dim(p.dim, k)
-    for positions, values in zip(_sector_positions(p.dim, k), vec):
-        for pos, x in zip(positions, values):
-            flat[pos] = Fraction(x, den)
-    return flat
+    return [Fraction(p._nums.get(mono, {}).get(mask, 0), p._den) for mono, mask in poly_basis(p.dim, k)]
 
 
 def from_coords(m: int, k: int, vec: list[Fraction]) -> CliffordPolynomial:
@@ -252,8 +234,8 @@ def adjointness_report(p: CliffordPolynomial, q: CliffordPolynomial) -> Adjointn
 
 def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
     """x^s p x^s: the two-sided embedding applied s times."""
-    if times < 0:
-        raise ValueError(f"times must be non-negative, got {times}")
+    if not isinstance(times, int) or times < 0:
+        raise ValueError(f"times must be a non-negative integer, got {times}")
     for _ in range(times):
         p = mul_by_x_left(mul_by_x_right(p))
     return p
@@ -328,32 +310,6 @@ def _block(columns: SectorColumns, n_rows: int, keep=None) -> list[list[int]]:
         for r, value in columns[i]:
             mat[r][c] = value
     return mat
-
-
-def _dense(op: str, m: int, k_in: int) -> linalg.Matrix:
-    """Matrix of an operator on P(k_in) in the global bases."""
-    k_out = k_in + _DEGREE_SHIFT[op]
-    rows_at, cols_at = _sector_positions(m, k_out), _sector_positions(m, k_in)
-    mat = [[Fraction(0)] * space_dim(m, k_in) for _ in range(space_dim(m, k_out))]
-    for v, columns in enumerate(sector_operator(op, m, k_in)):
-        for c, col in enumerate(columns):
-            for r, value in col:
-                mat[rows_at[v][r]][cols_at[v][c]] = Fraction(value)
-    return mat
-
-
-def sandwich_matrix(m: int, k: int) -> linalg.Matrix:
-    """Matrix of the sandwich operator P(k) -> P(k-2) in the global basis."""
-    if k < 2:
-        raise ValueError(f"sandwich matrix needs degree k >= 2, got {k}")
-    return _dense("sandwich", m, k)
-
-
-def embed_matrix(m: int, k: int) -> linalg.Matrix:
-    """Matrix of Q -> x Q x from P(k-2) into P(k) in the global basis."""
-    if k < 2:
-        raise ValueError(f"embedding matrix needs degree k >= 2, got {k}")
-    return _dense("wrap_x", m, k - 2)
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +405,10 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
 
 
 def composition_rank(m: int, k: int) -> int:
-    """Rank of Q -> sandwich(x Q x) on P(k-2), by exact sector elimination."""
-    return sum(map(linalg.rank, _composition(m, k, range(1 << m))))  # rejects k < 2
+    """Rank of Q -> sandwich(x Q x) on P(k-2), by exact sector elimination; 0 below degree 2."""
+    if k < 0:
+        raise ValueError(f"degree must be non-negative, got {k}")
+    return sum(map(linalg.rank, _composition(m, k, range(1 << m)))) if k >= 2 else 0
 
 
 def sandwich_rank(m: int, k: int) -> int:
@@ -716,7 +674,7 @@ def kernel_basis(
         raise ValueError(f"unknown kernel kind {kind!r}")
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
-    if grade is not None and not 0 <= grade <= m:
+    if grade is not None and (not isinstance(grade, int) or not 0 <= grade <= m):
         raise ValueError(f"grade must be in 0..{m} for m = {m}, got {grade}")
     operators = [
         (sector_operator(op, m, k), monomial_count(m, k + _DEGREE_SHIFT[op]))

@@ -12,7 +12,9 @@ from inframono import (
     PolynomialSyntaxError,
     blade_name,
     blade_sign,
+    coords,
     monomial_basis,
+    poly_basis,
 )
 from inframono.numeric import NumericMultivector
 from inframono.polynomials import monomial_sort_key
@@ -142,6 +144,23 @@ def reference_mul_by_x_left(p: CliffordPolynomial) -> CliffordPolynomial:
 
 def reference_mul_by_x_right(p: CliffordPolynomial) -> CliffordPolynomial:
     return _reference_mul_by_x(p, left=False)
+
+
+def reference_sandwich(p: CliffordPolynomial) -> CliffordPolynomial:
+    return reference_dirac_right(reference_dirac_left(p))
+
+
+def reference_wrap_x(p: CliffordPolynomial) -> CliffordPolynomial:
+    return reference_mul_by_x_left(reference_mul_by_x_right(p))
+
+
+def dense_matrix(op, m: int, k_in: int, k_out: int) -> list[list[Fraction]]:
+    """Matrix of op from P(k_in) to P(k_out): column c is op of `poly_basis(m, k_in)[c]` in coordinates."""
+    columns = [
+        coords(op(CliffordPolynomial(m, {mono: Multivector(m, {mask: 1})})), k_out)
+        for mono, mask in poly_basis(m, k_in)
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 # Reference text boundary: rendering term by term through Fraction's own

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import inframono
 from inframono import (
     CliffordPolynomial,
     KernelSampler,
@@ -238,6 +239,13 @@ def test_combination_matches_reference():
             assert got == _reference_combination(m, case)
             assert_canonical(got)
         assert _combination(m, [(w, p), (-w, p)]).is_zero()
+
+
+def test_public_names_resolve_once():
+    """Every name the package exports exists on it, and none is listed twice."""
+    assert len(inframono.__all__) == len(set(inframono.__all__))
+    for name in inframono.__all__:
+        assert hasattr(inframono, name), name
 
 
 def test_public_constructors_still_validate():

@@ -14,7 +14,6 @@ from inframono import (
     composition_rank,
     coords,
     dirac_left,
-    embed_matrix,
     fischer_decompose,
     fischer_inner,
     fischer_inner_differential,
@@ -33,7 +32,6 @@ from inframono import (
     mul_by_x_left,
     poly_basis,
     sandwich,
-    sandwich_matrix,
     sandwich_rank,
     space_dim,
     wrap_x,
@@ -41,10 +39,27 @@ from inframono import (
 )
 from inframono import fischer, linalg
 from inframono.linalg import mat_vec, rank
-from helpers import random_polynomial, random_scalar_polynomial, reference_laplacian
+from helpers import (
+    dense_matrix,
+    random_polynomial,
+    random_scalar_polynomial,
+    reference_laplacian,
+    reference_sandwich,
+    reference_wrap_x,
+)
 
 X1SQ = CliffordPolynomial.monomial(2, (2, 0), 1)
 X1X2 = CliffordPolynomial.monomial(2, (1, 1), 1)
+
+
+def sandwich_dense(m, k):
+    """S: P(k) -> P(k-2) from the reference sandwich, independent of the sector blocks."""
+    return dense_matrix(reference_sandwich, m, k, k - 2)
+
+
+def embed_dense(m, k):
+    """T: P(k-2) -> P(k) from the reference Q -> x Q x."""
+    return dense_matrix(reference_wrap_x, m, k - 2, k)
 
 
 def matmul(a, b):
@@ -121,6 +136,8 @@ class TestAdjointness:
         assert wrap_x(X1X2, 0) == X1X2
         with pytest.raises(ValueError, match="times"):
             wrap_x(X1X2, -1)
+        with pytest.raises(ValueError, match="times"):
+            wrap_x(X1X2, 1.5)
 
     def test_random_relations(self):
         rng = random.Random(4)
@@ -142,8 +159,8 @@ class TestAdjointness:
 
 class TestOperatorMatrices:
     def test_composition_is_bijective_on_lower_space(self):
-        s = sandwich_matrix(2, 2)
-        t = embed_matrix(2, 2)
+        s = sandwich_dense(2, 2)
+        t = embed_dense(2, 2)
         assert len(s) == 4 and len(s[0]) == 12
         assert len(t) == 12 and len(t[0]) == 4
         composed = matmul(s, t)
@@ -151,7 +168,7 @@ class TestOperatorMatrices:
         assert rank(composed) == 4
 
     def test_sandwich_full_row_rank(self):
-        s = sandwich_matrix(2, 2)
+        s = sandwich_dense(2, 2)
         assert rank(s) == 4 == space_dim(2, 0)
         assert space_dim(2, 2) - rank(s) == 8 == infra_space_dim(2, 2)
 
@@ -162,8 +179,8 @@ class TestOperatorMatrices:
     def test_matrices_agree_with_operators(self):
         rng = random.Random(5)
         for m, k in ((2, 2), (2, 3), (3, 2)):
-            s = sandwich_matrix(m, k)
-            t = embed_matrix(m, k)
+            s = sandwich_dense(m, k)
+            t = embed_dense(m, k)
             for _ in range(5):
                 p = random_polynomial(rng, m, k)
                 assert mat_vec(s, coords(p, k)) == coords(sandwich(p), k - 2)
@@ -172,20 +189,15 @@ class TestOperatorMatrices:
 
     def test_sector_ranks_match_full_elimination(self):
         for m, k in ((2, 2), (2, 3), (2, 4), (3, 2)):
-            assert sandwich_rank(m, k) == rank(sandwich_matrix(m, k))
-            composed = matmul(sandwich_matrix(m, k), embed_matrix(m, k))
+            assert sandwich_rank(m, k) == rank(sandwich_dense(m, k))
+            composed = matmul(sandwich_dense(m, k), embed_dense(m, k))
             assert composition_rank(m, k) == rank(composed)
 
-    def test_low_degree_rejected(self):
-        with pytest.raises(ValueError):
-            sandwich_matrix(2, 1)
-        with pytest.raises(ValueError):
-            embed_matrix(2, 0)
-
     def test_sandwich_rank_rejects_a_negative_degree(self):
-        """Below degree 2 the rank is 0; a negative degree raises as the other counts do."""
+        """Below degree 2 the ranks are 0; a negative degree raises as the other counts do."""
         assert sandwich_rank(3, 0) == sandwich_rank(3, 1) == 0
-        for count in (sandwich_rank, infra_space_dim, monomial_count):
+        assert composition_rank(3, 0) == composition_rank(3, 1) == 0
+        for count in (sandwich_rank, composition_rank, infra_space_dim, monomial_count):
             with pytest.raises(ValueError, match="degree must be non-negative"):
                 count(3, -1)
 
@@ -598,7 +610,7 @@ class TestKernelSampling:
         KernelSampler(3, 4, seed=5).harmonic()
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("grade", [-1, 3, 7])
+    @pytest.mark.parametrize("grade", [-1, 3, 7, 1.5])
     def test_grade_out_of_range_rejected(self, grade):
         with pytest.raises(ValueError, match=f"got {grade}"):
             kernel_basis(2, 2, "harmonic", grade)

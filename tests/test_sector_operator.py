@@ -9,25 +9,25 @@ from inframono import (
     CliffordPolynomial,
     Multivector,
     coords,
-    embed_matrix,
     fischer_decompose,
     fischer_tower,
     from_coords,
     monomial_count,
-    poly_basis,
-    sandwich_matrix,
     wrap_x,
 )
 from inframono import fischer
 from inframono.fischer import sector_operator
 from inframono.linalg import solve
 from helpers import (
+    dense_matrix,
     random_polynomial,
     reference_dirac_left,
     reference_dirac_right,
     reference_laplacian,
     reference_mul_by_x_left,
     reference_mul_by_x_right,
+    reference_sandwich,
+    reference_wrap_x,
 )
 
 # The product-based references, not the library's polynomial operators,
@@ -38,8 +38,8 @@ REFERENCE_OPERATORS = {
     "x_left": (reference_mul_by_x_left, 1),
     "x_right": (reference_mul_by_x_right, 1),
     "laplacian": (reference_laplacian, -2),
-    "sandwich": (lambda p: reference_dirac_right(reference_dirac_left(p)), -2),
-    "wrap_x": (lambda p: reference_mul_by_x_left(reference_mul_by_x_right(p)), 2),
+    "sandwich": (reference_sandwich, -2),
+    "wrap_x": (reference_wrap_x, 2),
 }
 
 CASES = [(m, k) for m in (1, 2, 3, 4) for k in range(7)] + [(5, k) for k in range(5)]
@@ -52,23 +52,26 @@ def matmul(a, b):
 
 @pytest.mark.parametrize("m,k", CASES)
 def test_columns_equal_polynomial_operators(m, k):
-    """Every entry of every compiled column equals the reference operator on that basis element."""
-    in_at = fischer._sector_positions(m, k)
+    """Every entry of every compiled column equals the reference operator on that basis element.
+
+    Element i of sector v is monomial i of the degree with the blade v xor its parity.
+    """
+    table = fischer._monomial_table(m, k)[1]
     for op, (apply_fn, shift) in REFERENCE_OPERATORS.items():
         blocks = sector_operator(op, m, k)
-        # columns are empty below degree 0, so the output basis is never read there
-        out_at = fischer._sector_positions(m, k + shift) if k + shift >= 0 else None
-        out_basis = poly_basis(m, k + shift) if k + shift >= 0 else None
+        # columns are empty below degree 0, so the output table is never read there
+        out_table = fischer._monomial_table(m, k + shift)[1] if k + shift >= 0 else None
         assert len(blocks) == 1 << m
         for v, columns in enumerate(blocks):
-            assert len(columns) == len(in_at[v])
-            for col, pos in zip(columns, in_at[v]):
-                mono, mask = poly_basis(m, k)[pos]
+            assert len(columns) == len(table)
+            for col, (mono, par) in zip(columns, table):
+                mask = v ^ par
                 image = apply_fn(CliffordPolynomial(m, {mono: Multivector(m, {mask: 1})}))
                 got = {}
                 for r, value in col:
                     assert isinstance(value, int) and value != 0
-                    got[out_basis[out_at[v][r]]] = value
+                    out_mono, out_par = out_table[r]
+                    got[(out_mono, v ^ out_par)] = value
                 want = {(mono2, mask2): value for mono2, coeff in image.items()
                         for mask2, value in coeff.items()}
                 assert got == want, (op, m, k, mono, mask)
@@ -84,9 +87,9 @@ def test_unknown_operator_and_negative_degree_rejected():
 
 @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3) for k in (2, 3, 4)])
 def test_decompose_matches_dense_reference_solve(m, k):
-    """The sector solve agrees with one dense solve of (S T) q = S p."""
-    s = sandwich_matrix(m, k)
-    composed = matmul(s, embed_matrix(m, k))
+    """The sector solve agrees with one dense solve of (S T) q = S p, S and T from the references."""
+    s = dense_matrix(reference_sandwich, m, k, k - 2)
+    composed = matmul(s, dense_matrix(reference_wrap_x, m, k - 2, k))
     rng = random.Random(100 * m + k)
     for _ in range(3):
         p = random_polynomial(rng, m, k, max_terms=8)
