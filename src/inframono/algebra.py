@@ -368,6 +368,8 @@ class Multivector:
         return self._dim == other._dim and self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {0}:  # equal to its scalar, so hashed as it
+            return hash(self._terms.get(0, 0))
         return hash((self._dim, frozenset(self._terms.items())))
 
     def __str__(self) -> str:

@@ -326,8 +326,6 @@ def _composition(m: int, k: int, sectors) -> list[list[list[int]]]:
 
     Column i of sector v's block is S_v T_v e_i, applied by `_apply`.
     """
-    if k < 2:
-        raise ValueError(f"composition blocks need degree k >= 2, got {k}")
     n, n_k = monomial_count(m, k - 2), monomial_count(m, k)
     wrap, sand = sector_operator("wrap_x", m, k - 2), sector_operator("sandwich", m, k)
     unit = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -10,13 +10,13 @@ scaled matrix and no gcd is taken until the end.  A pivot step touches
 only the columns after the pivot and the free columns before it; the
 cleared pivot columns are not recomputed.  At the end every row is the
 same integer scale, the last leading minor, times its row of the unique
-RREF.  `rref` divides by that scale once, so `solve`, `invert` and
-`nullspace` return Fractions whatever the input; `rank` counts the
-pivots of the integer elimination and builds no Fraction;
-`integer_inverse` divides instead by the gcd of the scale and the
-inverse's entries and returns an integer matrix over one denominator,
-building no Fraction.  `mat_vec` keeps the type of its input, so an
-integer matrix times an integer vector stays in integer arithmetic.
+RREF.  `rref` divides by that scale once, so it and `nullspace`, which
+reads it, return Fractions whatever the input; `rank` counts the pivots
+of the integer elimination and builds no Fraction; `integer_inverse`
+divides instead by the gcd of the scale and the inverse's entries and
+returns an integer matrix over one denominator, building no Fraction.
+`invert` is its Fraction view.  `mat_vec` keeps the type of its input,
+so an integer matrix times an integer vector stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -115,28 +115,13 @@ def nullspace(matrix: Matrix) -> list[Vector]:
     return basis
 
 
-def solve(matrix: Matrix, rhs: Vector) -> Vector:
-    """Exact solution of a regular square system; SingularMatrixError otherwise."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve expects a square matrix and a matching right-hand side")
-    work = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(work)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [reduced[i][n] for i in range(n)]
-
-
 def invert(matrix: Matrix) -> Matrix:
-    """Exact inverse of a regular square matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    """Exact inverse of a regular square matrix: (D A)^-1 D, D scaling each row to integers."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("invert expects a square matrix")
-    work = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(work)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in reduced]
+    scales = [lcm(*(x.denominator for x in row)) for row in matrix]
+    den, inverse = integer_inverse(_integer_rows(matrix))
+    return [[Fraction(x * d, den) for x, d in zip(row, scales)] for row in inverse]
 
 
 def integer_inverse(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:

@@ -257,11 +257,6 @@ class TrigExpFamily:
         return NumericMultivector(2, [0.0, (up + down) * math.cos(angle), (down - up) * math.sin(angle), 0.0])
 
 
-def family_eval(family: TrigExpFamily, x1: float, x2: float) -> NumericMultivector:
-    """The field value f1 e1 + f2 e2 at one point."""
-    return family((x1, x2))
-
-
 def ode_system_residual(family: TrigExpFamily, x1: float) -> tuple[float, float]:
     """Residuals of the coupled profile equations at one x1.
 
@@ -281,8 +276,11 @@ def ode_system_residual(family: TrigExpFamily, x1: float) -> tuple[float, float]
 
 def grid_points(side: int = 5, lo: float = -1.0, hi: float = 1.0) -> list[tuple[float, float]]:
     """side x side lattice covering [lo, hi]^2, corners included."""
-    if side < 1:
-        raise ValueError(f"grid side must be at least 1, got {side}")
+    if not isinstance(side, int) or side < 1:
+        raise ValueError(f"grid side must be an int of at least 1, got {side!r}")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"grid bound {name} must be finite, got {bound}")
     lo, hi = float(lo), float(hi)
     step = (hi - lo) / max(side - 1, 1)
     axis = [lo + i * step for i in range(side)]

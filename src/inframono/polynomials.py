@@ -339,6 +339,8 @@ class CliffordPolynomial:
         return self._dim == other._dim and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
+        if self._nums.keys() <= {(0,) * self._dim}:  # equal to its coefficient, so hashed as it
+            return hash(self.coefficient((0,) * self._dim))
         rows = frozenset((mono, frozenset(blades.items())) for mono, blades in self._nums.items())
         return hash((self._dim, self._den, rows))
 

@@ -16,6 +16,7 @@ from inframono import (
     monomial_basis,
     poly_basis,
 )
+from inframono.linalg import SingularMatrixError
 from inframono.numeric import NumericMultivector
 from inframono.polynomials import monomial_sort_key
 
@@ -95,6 +96,16 @@ def reference_rref(matrix: list[list]) -> tuple[list[list], list[int]]:
         if r == rows:
             break
     return work, pivots
+
+
+def reference_inverse(matrix: list[list]) -> list[list[Fraction]]:
+    """Right half of `reference_rref([A | I])`; SingularMatrixError unless the pivots are 0..n-1."""
+    n = len(matrix)
+    reduced, pivots = reference_rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                                      for i, row in enumerate(matrix)])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 # Reference operators built from general Multivector products and `partial`.

@@ -120,6 +120,22 @@ class TestMultivectorArithmetic:
         assert not mv(2, {1: 0})
         assert mv(2, {0: 3}) == 3
 
+    def test_scalar_minus_multivector(self):
+        # int - Multivector runs __rsub__
+        assert 3 - Multivector.basis_vector(2, 1) == mv(2, {0: 3, 1: -1})
+        assert Fraction(1, 2) - mv(2, {0: 1, 3: 2}) == mv(2, {0: Fraction(-1, 2), 3: -2})
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError, match="division of multivector by zero"):
+            mv(2, {1: 2}) / zero
+
+    def test_index_ranges(self):
+        with pytest.raises(ValueError, match="vector index 3 out of range 1..2"):
+            Multivector.basis_vector(2, 3)
+        with pytest.raises(ValueError, match="blade mask 4 out of range for dimension 2"):
+            BladeIndex(4, 2)
+
 
 class TestGradeProjection:
     def test_example(self):
@@ -243,6 +259,11 @@ class TestVectorProducts:
             vector_inner_left(mixed, Multivector.basis_vector(2, 1))
         with pytest.raises(ValueError):
             vector_outer_left(Multivector.basis_vector(2, 1), mixed)
+
+    def test_vector_factor_must_have_grade_one(self):
+        bivector = Multivector.blade(2, [1, 2])
+        with pytest.raises(ValueError, match="left factor must have grade 1, got 2"):
+            vector_inner_left(bivector, Multivector.basis_vector(2, 1))
 
 
 def test_blades_in_order_grade_then_mask():

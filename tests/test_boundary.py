@@ -217,6 +217,19 @@ def test_arithmetic_results_are_canonical():
     assert hash(CliffordPolynomial.zero(2) * 5) == hash(CliffordPolynomial(2, {(1, 0): 0}))
 
 
+@pytest.mark.parametrize("text, plain", [
+    ("0", 0), ("3", 3), ("1/2", Fraction(1, 2)), ("e1", Multivector.basis_vector(2, 1)),
+])
+def test_equal_values_hash_alike(text, plain):
+    """A constant polynomial, its coefficient and the plain value they equal are one set element and one key."""
+    p = parse_polynomial(text, 2)
+    values = [p, p.coefficient((0, 0)), plain]
+    for a in values:
+        assert all(a == b and hash(a) == hash(b) for b in values)
+        assert {a: "found"}.get(p) == {p: "found"}.get(a) == "found"
+    assert len(set(values)) == 1
+
+
 def _reference_combination(m, pairs):
     """sum of weight * p, accumulated over terms() Multivectors and built by the public constructor."""
     acc = {}

@@ -190,6 +190,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "inner", "--m", "2", "x1^2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("dims", "--m", "2", "--k", "-1"), "error: --k must be non-negative"),
+        (("check", "--m", "2"), "error: no polynomial input given (positional argument or --file)"),
+    ])
+    def test_invalid_request_is_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
     @pytest.mark.parametrize(
         "extra, message",
         [

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from inframono import (
+    AdjointnessReport,
     CliffordPolynomial,
     DecompositionChecks,
     KernelSampler,
@@ -155,6 +156,24 @@ class TestAdjointness:
     def test_degree_gap_validation(self):
         with pytest.raises(ValueError):
             adjointness_report(X1SQ, X1SQ)
+
+    @pytest.mark.parametrize("p, q, message", [
+        (CliffordPolynomial.variable(3, 1), X1SQ, "dimension mismatch: 3 vs 2"),
+        (X1X2 + CliffordPolynomial.constant(2, 1), X1SQ, "need homogeneous inputs"),
+        (CliffordPolynomial.constant(2, 1), X1SQ + CliffordPolynomial.variable(2, 1), "need homogeneous inputs"),
+        (CliffordPolynomial.variable(2, 1), CliffordPolynomial.zero(2), "right-hand side must be nonzero"),
+    ])
+    def test_input_validation(self, p, q, message):
+        with pytest.raises(ValueError, match=message):
+            adjointness_report(p, q)
+
+    def test_all_hold(self):
+        # a relation the degree gap leaves out (None) does not count against the others
+        assert adjointness_report(CliffordPolynomial.constant(2, 1), X1SQ).all_hold
+        assert adjointness_report(CliffordPolynomial.variable(2, 2), X1X2).all_hold
+        assert AdjointnessReport(None, None, True).all_hold
+        assert not AdjointnessReport(True, True, False).all_hold
+        assert not AdjointnessReport(False, None, None).all_hold
 
 
 class TestOperatorMatrices:
@@ -458,6 +477,16 @@ class TestOrbitSolver:
         dens = [lcm(*(x.denominator for row in inverse for x in row)) for inverse in direct]
         assert den == lcm(*dens)
 
+    def test_singular_block_is_reported(self, monkeypatch):
+        # S o T is invertible on every sector, so only a faulty elimination reaches this branch
+        def singular(matrix):
+            raise linalg.SingularMatrixError("matrix is singular")
+
+        monkeypatch.setattr(linalg, "integer_inverse", singular)
+        fischer._composition_solver.cache_clear()
+        with pytest.raises(RuntimeError, match=r"singular on a sector of P\(2\) for m=3"):
+            fischer._composition_solver(3, 4)
+
     @pytest.mark.parametrize("m,k", [(2, 4), (3, 6), (4, 6), (5, 4)])
     def test_cold_build_inverts_one_block_per_orbit(self, monkeypatch, m, k):
         """One inversion per pseudoscalar-merged orbit: j <-> m - j share one."""
@@ -518,6 +547,13 @@ class TestAlmansi:
                     CliffordPolynomial.zero(m) - (split.x_part * (2 * (k - 1)))
                 )
 
+    @pytest.mark.parametrize("h", [
+        CliffordPolynomial.constant(2, Multivector.blade(2, [1, 2], 3)), CliffordPolynomial.zero(2),
+    ])
+    def test_constant_and_zero_are_their_own_plain_part(self, h):
+        split = almansi_split(h)
+        assert split.plain_part == h and split.x_part.is_zero()
+
     def test_not_harmonic_rejected(self):
         with pytest.raises(ValueError):
             almansi_split(X1SQ)
@@ -559,6 +595,14 @@ class TestKernelSampling:
             for k in (2, 3, 4):
                 expected = space_dim(m, k) - space_dim(m, k - 2)
                 assert len(kernel_basis(m, k, "inframonogenic")) == expected
+
+    @pytest.mark.parametrize("kind, k, message", [
+        ("bogus", 2, "unknown kernel kind 'bogus'"),
+        ("harmonic", -1, "degree must be non-negative, got -1"),
+    ])
+    def test_bad_kind_or_degree_rejected(self, kind, k, message):
+        with pytest.raises(ValueError, match=message):
+            kernel_basis(2, k, kind)
 
     def test_low_degree_whole_space(self):
         assert len(kernel_basis(2, 1, "inframonogenic")) == space_dim(2, 1)

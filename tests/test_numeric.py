@@ -20,7 +20,6 @@ from inframono.numeric import (
     GridScan,
     NumericMultivector,
     TrigExpFamily,
-    family_eval,
     family_harmonicity_scan,
     fd_hessian,
     fd_laplacian,
@@ -64,6 +63,14 @@ class TestNumericMultivector:
         assert a.max_abs() == 2.0
         assert a.is_finite()
 
+    def test_division_by_zero_is_ieee(self):
+        # Python raises on v / 0.0; IEEE gives a signed inf, and NaN for 0 / 0
+        a = NumericMultivector(2, [2.0, -3.0, 0.0, 0.0])
+        for zero, sign in ((0.0, 1), (-0.0, -1)):
+            got = (a / zero).values
+            assert got[:2] == [sign * math.inf, -sign * math.inf]
+            assert all(map(math.isnan, got[2:]))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             NumericMultivector(2, [1.0, 2.0])
@@ -78,7 +85,7 @@ class TestNumericMultivector:
 class TestFamilyEval:
     def test_cosh_case_at_origin(self):
         fam = TrigExpFamily(1, 0, 1, 0, 1)
-        value = family_eval(fam, 0.0, 0.0)
+        value = fam((0.0, 0.0))
         assert value.coefficient(0b01) == pytest.approx(2.0)
         assert value.coefficient(0b10) == pytest.approx(0.0)
 
@@ -97,7 +104,7 @@ class TestFamilyEval:
 
     def test_zero_parameters(self):
         fam = TrigExpFamily(0, 0, 0, 0, 1.5)
-        assert family_eval(fam, 0.3, -0.8).max_abs() == 0.0
+        assert fam((0.3, -0.8)).max_abs() == 0.0
 
     def test_cosh_sinh_reduction(self):
         # equal parameter pairs collapse to the hyperbolic form
@@ -132,6 +139,11 @@ class TestStencils:
         f = polynomial_function(p)
         for point in SMALL_POINTS:
             assert fd_laplacian(f, point, 1e-4).max_abs() <= 1e-8
+
+    def test_point_length_must_match_dimension(self):
+        f = polynomial_function(CliffordPolynomial.monomial(2, (2, 0), 1))
+        with pytest.raises(ValueError, match="point length 3 != dimension 2"):
+            f((0.0, 0.0, 0.0))
 
     def test_invalid_step(self):
         f = polynomial_function(CliffordPolynomial.monomial(2, (2, 0), 1))
@@ -268,10 +280,19 @@ class TestFamilyScans:
         harmonic, scan = family_harmonicity_scan(TrigExpFamily(1, 0, 0, 0, 0), grid_points(3), 1e-4, 0.0)
         assert harmonic and scan.max_residual == 0.0
 
-    @pytest.mark.parametrize("side", [0, -2])
+    @pytest.mark.parametrize("side", [0, -2, 2.5, 3.0, "3"])
     def test_grid_side_must_be_positive(self, side):
-        with pytest.raises(ValueError, match=f"got {side}"):
+        # a float or text side would otherwise fail later with a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"grid side must be an int of at least 1, got {side!r}")):
             grid_points(side)
+
+    @pytest.mark.parametrize("lo, hi, name", [
+        (1.0, math.nan, "hi"), (0, math.inf, "hi"), (-math.inf, 1.0, "lo"), (math.nan, math.nan, "lo"),
+    ])
+    def test_grid_bounds_must_be_finite(self, lo, hi, name):
+        # a non-finite bound would put NaN or inf coordinates on the grid, and fail only in a scan
+        with pytest.raises(ValueError, match=f"grid bound {name} must be finite"):
+            grid_points(2, lo, hi)
 
     def test_grid_matches_linspace(self):
         # numpy.linspace is the reference grid; numpy is not a library dependency

@@ -475,6 +475,10 @@ class TestLinearMonogenicSplit:
         assert not split.unique
         assert split.constant == Multivector.scalar(2, 1)
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
+            linear_monogenic_split(x_vector(2), side="up")
+
     def test_hypothesis_failure_raises(self):
         # x1^2 is not inframonogenic
         with pytest.raises(ValueError):

@@ -39,6 +39,15 @@ class TestLinearOperations:
         assert (p / 3) * 3 == p
         assert -p + p == CliffordPolynomial.zero(2)
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError, match="division of polynomial by zero"):
+            poly(2, {(2, 0): 3}) / zero
+
+    def test_variable_index_range(self):
+        with pytest.raises(ValueError, match="variable index 3 out of range 1..2"):
+            CliffordPolynomial.variable(2, 3)
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             poly(2, {(1, 0): 1}) + poly(3, {(1, 0, 0): 1})
