@@ -65,7 +65,7 @@ def _read_polynomials(args: argparse.Namespace, expected: int | None) -> list[Cl
         given = ", ".join(map(repr, args.polynomial))
         raise ValueError(f"got both --file {args.file} and argument(s) {given}; give one")
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(args.file, "r", encoding="utf-8-sig") as handle:
             texts = [line.strip() for line in handle if line.strip()]
     else:
         texts = list(args.polynomial)

@@ -59,6 +59,7 @@ from .polynomials import (
     CliffordPolynomial,
     Monomial,
     _apply_integer,
+    _check_degree,
     _combination,
     _from_fractions,
     euler,
@@ -72,7 +73,7 @@ from .polynomials import (
 # -- bases and coordinates ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def poly_basis(m: int, k: int) -> tuple[tuple[Monomial, int], ...]:
     """Ordered basis of P(k): graded-lex monomials tensor (grade, mask) blades."""
     blades = blades_in_order(m)
@@ -257,7 +258,7 @@ _DEGREE_SHIFT = {op: sum(_PRIMITIVE_SHIFT[step] for step in chain) for op, chain
 SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
     """Sparse integer matrix of an operator on P(k_in), one block per sector.
 
@@ -272,8 +273,7 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
     """
     if op not in _CHAINS:
         raise ValueError(f"unknown operator {op!r}")
-    if k_in < 0:
-        raise ValueError(f"degree must be non-negative, got {k_in}")
+    _check_degree(k_in)
     n = 1 << m
     k_out = k_in + _DEGREE_SHIFT[op]
     index, table = _monomial_table(m, k_out) if k_out >= 0 else ({}, ())
@@ -404,15 +404,15 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
 
 def composition_rank(m: int, k: int) -> int:
     """Rank of Q -> sandwich(x Q x) on P(k-2), by exact sector elimination; 0 below degree 2."""
-    if k < 0:
-        raise ValueError(f"degree must be non-negative, got {k}")
+    _check_degree(k)
     return sum(map(linalg.rank, _composition(m, k, range(1 << m)))) if k >= 2 else 0
 
 
 def sandwich_rank(m: int, k: int) -> int:
     """Rank of the sandwich operator on P(k), by exact sector elimination."""
-    n = monomial_count(m, k - 2) if k >= 2 else 0  # sector_operator rejects k < 0
-    return sum(linalg.rank(_block(columns, n)) for columns in sector_operator("sandwich", m, k))
+    blocks = sector_operator("sandwich", m, k)  # first, so that it checks k
+    n = monomial_count(m, k - 2) if k >= 2 else 0
+    return sum(linalg.rank(_block(columns, n)) for columns in blocks)
 
 
 def infra_space_dim(m: int, k: int) -> int:
@@ -658,7 +658,7 @@ _KERNEL_OPERATORS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kernel_basis(
     m: int, k: int, kind: str, grade: int | None = None
 ) -> tuple[CliffordPolynomial, ...]:
@@ -670,8 +670,7 @@ def kernel_basis(
     """
     if kind not in _KERNEL_OPERATORS:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    if k < 0:
-        raise ValueError(f"degree must be non-negative, got {k}")
+    _check_degree(k)
     if grade is not None and (not isinstance(grade, int) or not 0 <= grade <= m):
         raise ValueError(f"grade must be in 0..{m} for m = {m}, got {grade}")
     operators = [

@@ -6,7 +6,9 @@ per index; ``e{1,12}`` brace syntax covers indices beyond 9).  Terms are
 joined by ``+`` / ``-``; a sign may also precede a parenthesised group.
 Unsorted blade indices are accepted and normalised with the correct sign.
 Printing (``str`` on the value types) always produces grammar-conforming,
-canonically ordered text, so parse(print(p)) == p.
+canonically ordered text, so parse(print(p)) == p.  Parsing is one loop over
+the tokens, without recursion: a stack holds the sign in force in each open
+group, so nesting depth is not limited.
 """
 
 from __future__ import annotations
@@ -48,144 +50,83 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int, m: int):
-        self._tokens = tokens
-        self._length = length
-        self._m = m
-        self._signs = _vector_signs(m)[1]
-        self._i = 0
+def _int(text: str, pos: int) -> int:
+    """A digit run as an int; one longer than Python's int-string limit is a syntax error at pos."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolynomialSyntaxError("integer literal too long", pos) from None
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self._tokens[self._i] if self._i < len(self._tokens) else None
 
-    def _accept_op(self, *ops: str) -> str | None:
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] in ops:
-            self._i += 1
-            return tok[1]
-        return None
+def _int_after(tokens: list[tuple[str, str, int]], i: int, length: int, message: str) -> tuple[int, int]:
+    """The integer token after the '/' or '^' at i, as (value, position)."""
+    if i + 1 == len(tokens):
+        raise PolynomialSyntaxError("unexpected end of input", length)
+    kind, text, pos = tokens[i + 1]
+    if kind != "int":
+        raise PolynomialSyntaxError(message, pos)
+    return _int(text, pos), pos
 
-    def parse_poly(self, acc: dict[Monomial, dict[int, Fraction]], sign: int = 1) -> None:
-        """Add sign times a sum of terms, up to ')' or the end, into acc."""
-        first = True
-        while True:
-            term_sign = sign
-            if first:
-                op = self._accept_op("+", "-")
-                if op == "-":
-                    term_sign = -sign
+
+def _blade_indices(kind: str, text: str, pos: int) -> list[int]:
+    if kind == "blade":
+        return [int(ch) for ch in text[1:]]
+    body = text[2:-1].strip()
+    pieces = [piece.strip() for piece in body.split(",")] if body else []
+    for piece in pieces:
+        if not piece.isdecimal():
+            raise PolynomialSyntaxError(f"bad blade index {piece!r}", pos)
+    return [_int(piece, pos) for piece in pieces]
+
+
+def _parse_term(
+    tokens: list[tuple[str, str, int]], i: int, length: int, m: int, signs: tuple, sign: int
+) -> tuple[int, Monomial, int, Fraction]:
+    """The term at token i: (index after it, monomial, blade, sign times coefficient).
+
+    Only operator tokens have the texts ``/``, ``^`` and ``*``, so the text alone identifies them.
+    """
+    count = len(tokens)
+    num = den = 1
+    exponents, mask = [0] * m, 0
+    while True:
+        if i == count:
+            raise PolynomialSyntaxError("expected a factor", length)
+        kind, text, pos = tokens[i]
+        i += 1
+        if kind == "int":
+            num *= _int(text, pos)
+            if i < count and tokens[i][1] == "/":
+                d, d_pos = _int_after(tokens, i, length, "expected an integer denominator")
+                if d == 0:
+                    raise PolynomialSyntaxError("zero denominator", d_pos)
+                den *= d
+                i += 2
+        elif kind == "var":
+            j = _int(text[1:], pos)
+            if not 1 <= j <= m:
+                raise PolynomialSyntaxError(f"variable index {j} out of range for m={m}", pos)
+            if i < count and tokens[i][1] == "^":
+                exponents[j - 1] += _int_after(tokens, i, length, "expected an integer exponent")[0]
+                i += 2
             else:
-                tok = self._peek()
-                if tok is None or (tok[0] == "op" and tok[1] == ")"):
-                    break
-                op = self._accept_op("+", "-")
-                if op is None:
-                    raise PolynomialSyntaxError("expected '+' or '-' between terms", tok[2])
-                if op == "-":
-                    term_sign = -sign
-            if self._accept_op("("):
-                self.parse_poly(acc, term_sign)
-                tok = self._peek()
-                if not self._accept_op(")"):
-                    raise PolynomialSyntaxError(
-                        "expected ')'", tok[2] if tok else self._length
-                    )
-            else:
-                mono, mask, value = self._parse_term(term_sign)
-                blades = acc.get(mono)
-                if blades is None:
-                    acc[mono] = {mask: value}
-                elif mask in blades:
-                    blades[mask] += value
-                else:
-                    blades[mask] = value
-            first = False
-
-    def _int_after(self, i: int, message: str) -> tuple[int, int]:
-        """The integer token after the '/' or '^' at i, as (value, position)."""
-        if i + 1 == len(self._tokens):
-            raise PolynomialSyntaxError("unexpected end of input", self._length)
-        kind, text, pos = self._tokens[i + 1]
-        if kind != "int":
-            raise PolynomialSyntaxError(message, pos)
-        return int(text), pos
-
-    def _blade_indices(self, tok: tuple[str, str, int]) -> list[int]:
-        kind, text, pos = tok
-        if kind == "blade":
-            return [int(ch) for ch in text[1:]]
-        body = text[2:-1].strip()
-        if not body:
-            return []
-        indices = []
-        for piece in body.split(","):
-            piece = piece.strip()
-            if not piece.isdigit():
-                raise PolynomialSyntaxError(f"bad blade index {piece!r}", pos)
-            indices.append(int(piece))
-        return indices
-
-    def _parse_term(self, sign: int) -> tuple[Monomial, int, Fraction]:
-        """One product of factors: its monomial, its blade and sign times its coefficient.
-
-        Walks the tokens with a local index; only operator tokens have the
-        texts ``/``, ``^`` and ``*``, so the text alone identifies them.
-        """
-        tokens, count, i = self._tokens, len(self._tokens), self._i
-        num = den = 1
-        exponents = [0] * self._m
-        mask = 0
-        while True:
-            if i == count:
-                raise PolynomialSyntaxError("expected a factor", self._length)
-            tok = tokens[i]
-            kind, text, pos = tok
+                exponents[j - 1] += 1
+        elif kind in ("blade", "blade_braced"):
+            seen: set[int] = set()
+            for j in _blade_indices(kind, text, pos):
+                if not 1 <= j <= m:
+                    raise PolynomialSyntaxError(f"blade index {j} out of range for m={m}", pos)
+                if j in seen:
+                    raise PolynomialSyntaxError(f"repeated blade index {j}", pos)
+                seen.add(j)
+                sign *= signs[mask][j - 1]
+                mask ^= 1 << (j - 1)
+        else:
+            raise PolynomialSyntaxError(f"expected a factor, found {text!r}", pos)
+        if i < count and tokens[i][1] == "*":
             i += 1
-            if kind == "int":
-                num *= int(text)
-                if i < count and tokens[i][1] == "/":
-                    d, d_pos = self._int_after(i, "expected an integer denominator")
-                    if d == 0:
-                        raise PolynomialSyntaxError("zero denominator", d_pos)
-                    den *= d
-                    i += 2
-            elif kind == "var":
-                j = int(text[1:])
-                if not 1 <= j <= self._m:
-                    raise PolynomialSyntaxError(
-                        f"variable index {j} out of range for m={self._m}", pos
-                    )
-                if i < count and tokens[i][1] == "^":
-                    exponents[j - 1] += self._int_after(i, "expected an integer exponent")[0]
-                    i += 2
-                else:
-                    exponents[j - 1] += 1
-            elif kind in ("blade", "blade_braced"):
-                seen: set[int] = set()
-                for j in self._blade_indices(tok):
-                    if not 1 <= j <= self._m:
-                        raise PolynomialSyntaxError(
-                            f"blade index {j} out of range for m={self._m}", pos
-                        )
-                    if j in seen:
-                        raise PolynomialSyntaxError(f"repeated blade index {j}", pos)
-                    seen.add(j)
-                    sign *= self._signs[mask][j - 1]
-                    mask ^= 1 << (j - 1)
-            else:
-                raise PolynomialSyntaxError(f"expected a factor, found {text!r}", pos)
-            if i < count and tokens[i][1] == "*":
-                i += 1
-            else:
-                break
-        self._i = i
-        return tuple(exponents), mask, Fraction(sign * num, den)
-
-    def expect_end(self) -> None:
-        tok = self._peek()
-        if tok is not None:
-            raise PolynomialSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        else:
+            return i, tuple(exponents), mask, Fraction(sign * num, den)
 
 
 def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
@@ -198,8 +139,36 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
-    parser = _Parser(tokens, len(text), m)
+    count, length, signs = len(tokens), len(text), _vector_signs(m)[1]
     acc: dict[Monomial, dict[int, Fraction]] = {}
-    parser.parse_poly(acc)
-    parser.expect_end()
-    return CliffordPolynomial._trusted(m, *_from_fractions(acc))
+    enclosing: list[int] = []
+    sign, i = 1, 0
+    while True:
+        # A term or group starts at i; its sign may be left out only first in the text or a group.
+        term_sign = sign
+        if i < count and tokens[i][1] in ("+", "-"):
+            term_sign = -sign if tokens[i][1] == "-" else sign
+            i += 1
+        elif i and tokens[i - 1][1] != "(":
+            raise PolynomialSyntaxError("expected '+' or '-' between terms", tokens[i][2])
+        if i < count and tokens[i][1] == "(":
+            enclosing.append(sign)
+            sign, i = term_sign, i + 1
+            continue
+        i, mono, mask, value = _parse_term(tokens, i, length, m, signs, term_sign)
+        blades = acc.get(mono)
+        if blades is None:
+            acc[mono] = {mask: value}
+        elif mask in blades:
+            blades[mask] += value
+        else:
+            blades[mask] = value
+        while i < count and tokens[i][1] == ")":
+            if not enclosing:
+                raise PolynomialSyntaxError("unexpected trailing input ')'", tokens[i][2])
+            sign = enclosing.pop()
+            i += 1
+        if i == count:
+            if enclosing:
+                raise PolynomialSyntaxError("expected ')'", length)
+            return CliffordPolynomial._trusted(m, *_from_fractions(acc))

@@ -39,11 +39,17 @@ def monomial_sort_key(exponents: Monomial) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), tuple(-e for e in exponents))
 
 
+def _check_degree(k: int) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"degree must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError(f"degree must be non-negative, got {k}")
+
+
 def monomial_basis(m: int, k: int) -> list[Monomial]:
     """All degree-k monomials in m variables, in graded-lex order."""
     _check_dim(m)
-    if k < 0:
-        raise ValueError(f"degree must be non-negative, got {k}")
+    _check_degree(k)
     out: list[Monomial] = []
 
     def emit(prefix: list[int], remaining_vars: int, remaining_deg: int) -> None:
@@ -59,8 +65,7 @@ def monomial_basis(m: int, k: int) -> list[Monomial]:
 
 def monomial_count(m: int, k: int) -> int:
     _check_dim(m)
-    if k < 0:
-        raise ValueError(f"degree must be non-negative, got {k}")
+    _check_degree(k)
     return math.comb(k + m - 1, m - 1)
 
 

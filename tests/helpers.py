@@ -220,6 +220,18 @@ _REFERENCE_TOKEN_RE = re.compile(
 )
 
 
+# A digit run past Python's int-string limit (4300 digits by default) in each
+# place the parser converts one, by place: (text, position of its token) at m = 2.
+LONG_DIGITS = "9" * 5000
+LONG_LITERALS = {
+    "coefficient": (LONG_DIGITS, 0),
+    "denominator": (f"x1 + 1/{LONG_DIGITS}", 7),
+    "exponent": (f"x1^{LONG_DIGITS}", 3),
+    "variable": (f"x2 - x{LONG_DIGITS}", 5),
+    "braced_blade": (f"x1*e{{1,{LONG_DIGITS}}}", 3),
+}
+
+
 def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
     pos = 0
@@ -235,7 +247,7 @@ def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _ReferenceParser:
-    """A token cursor and a term-by-term polynomial sum, sharing no code with grammar._Parser."""
+    """A recursive token cursor and a term-by-term polynomial sum, sharing no code with grammar.parse_polynomial."""
 
     def __init__(self, tokens: list[tuple[str, str, int]], length: int, m: int):
         self._tokens = tokens

@@ -166,6 +166,23 @@ def test_malformed_inputs_match_reference():
     assert errors >= 500
 
 
+def test_token_mixes_match_reference():
+    """Texts joined from whole tokens, so unbalanced, empty and back-to-back groups are compared too."""
+    rng = random.Random(8)
+    pieces = [
+        "x1", "x2", "x3", "e1", "e21", "e11", "e{2,1}", "e{1,a}", "e{}", "3", "12", "0", "2/0",
+        "(", ")", "(", ")", "()", ")(", "+", "-", "+", "-", "*", "*", "/", "^", " ",
+    ]
+    outcomes = {"ok": 0, "error": 0}
+    for _ in range(3000):
+        m = rng.randint(1, 3)
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        got = _outcome(parse_polynomial, text, m)
+        assert got == _outcome(reference_parse, text, m), text
+        outcomes[got[0]] += 1
+    assert outcomes["ok"] >= 50 and outcomes["error"] >= 2000, outcomes
+
+
 def test_operator_results_are_canonical():
     rng = random.Random(11)
     ops = (dirac_left, dirac_right, laplacian, sandwich, mul_by_x_left, mul_by_x_right)

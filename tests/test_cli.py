@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from inframono.cli import main
+from helpers import LONG_LITERALS
 
 GOLDEN = Path(__file__).parent / "golden"
 # Across these, each of the 8 predicates comes out both true and false;
@@ -161,6 +162,16 @@ class TestSubcommands:
         assert code == 0
         assert out.count("inframonogenic:") == 2
 
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        text = "\n".join(CHECK_INPUTS) + "\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run_cli(capsys, "check", "--m", "4", "--file", str(plain))
+        assert expected[0] == 0
+        assert run_cli(capsys, "check", "--m", "4", "--file", str(marked)) == expected
+
     def test_inner_from_file(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("x1^2\nx1^2\n")
@@ -173,6 +184,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "check", "--m", "2", "x3")
         assert code == 2 and out == ""
         assert "position" in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit"
+    )
+    @pytest.mark.parametrize("text, position", LONG_LITERALS.values(), ids=LONG_LITERALS)
+    def test_over_long_literal_is_two(self, capsys, text, position):
+        code, out, err = run_cli(capsys, "check", "--m", "2", text)
+        assert code == 2 and out == ""
+        assert err.endswith(f"integer literal too long (at position {position})\n")
+
+    def test_deep_groups_exit_zero(self, capsys):
+        deep = "(" * 3000 + "x1" + ")" * 3000
+        proc = subprocess.run(
+            [sys.executable, "-m", "inframono", "check", "--m", "2", deep],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run_cli(capsys, "check", "--m", "2", "x1")[1]
 
     def test_precondition_failure_is_one(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "--m", "2", "x1^2 + x1")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -219,6 +220,25 @@ class TestOperatorMatrices:
         for count in (sandwich_rank, composition_rank, infra_space_dim, monomial_count):
             with pytest.raises(ValueError, match="degree must be non-negative"):
                 count(3, -1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            monomial_count,
+            space_dim,
+            sandwich_rank,
+            composition_rank,
+            lambda m, k: kernel_basis(m, k, "harmonic"),
+            lambda m, k: KernelSampler(m, k).harmonic(),
+        ],
+        ids=["monomial_count", "space_dim", "sandwich_rank", "composition_rank", "kernel_basis", "KernelSampler"],
+    )
+    def test_non_int_degree_rejected(self, count, k):
+        """Also after degree 2 is cached: 2.0 == 2 must not hit the int's cache entry."""
+        count(2, 2)
+        with pytest.raises(ValueError, match=re.escape(f"degree must be an int, got {k!r}")):
+            count(2, k)
 
 
 class TestCoords:

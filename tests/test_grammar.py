@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from inframono import (
     PolynomialSyntaxError,
     parse_polynomial,
 )
-from helpers import random_polynomial
+from helpers import LONG_LITERALS, random_polynomial
 
 
 class TestParsing:
@@ -131,6 +132,34 @@ def test_parse_error_message_and_position(text, m, message, position):
         parse_polynomial(text, m)
     assert str(info.value) == f"{message} (at position {position})"
     assert info.value.position == position
+
+
+class TestDepthAndLength:
+    def test_deep_groups_parse(self):
+        x1 = CliffordPolynomial.variable(2, 1)
+        assert parse_polynomial("(" * 5000 + "x1" + ")" * 5000, 2) == x1
+        assert parse_polynomial("-(" * 4999 + "x1" + ")" * 4999, 2) == x1 * -1
+
+    def test_deep_unclosed_group(self):
+        text = "(" * 3000 + "x1"
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_polynomial(text, 2)
+        assert str(info.value) == f"expected ')' (at position {len(text)})"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit"
+    )
+    @pytest.mark.parametrize("text, position", LONG_LITERALS.values(), ids=LONG_LITERALS)
+    def test_over_long_literal_is_a_syntax_error(self, text, position):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_polynomial(text, 2)
+        assert str(info.value) == f"integer literal too long (at position {position})"
+
+    def test_non_decimal_blade_index(self):
+        # '²' is a digit to str.isdigit but not to int()
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_polynomial("x1 + e{1,\u00b2}", 2)
+        assert str(info.value) == "bad blade index '\u00b2' (at position 5)"
 
 
 class TestPrinting:
