@@ -16,13 +16,13 @@ blade-mask = v of one degree into the same sector of another.  A sector
 of P(k) holds exactly one basis element per degree-k monomial, so the
 matrix of S o T decomposes into 2^m independent square blocks the size
 of the degree-(k-2) monomial count.  Permuting the coordinates,
-(x_i, e_i) -> (x_sigma(i), e_sigma(i)), also commutes with S o T and
+(x_i, e_i) -> (x_sigma(i), e_sigma(i)), also commutes with S and T and
 carries sector v onto sector sigma(v), and so does right multiplication
-by the pseudoscalar e_N = e_1...e_m, which carries sector v onto
-v xor (2^m - 1).  The blocks thus fall into floor(m/2) + 1 orbits, one
-per min(|v|, m - |v|).  Only one block per orbit is inverted, by
-fraction-free integer elimination, and only it is kept: every other
-sector solves through it by signed permutations of its vectors.
+by the pseudoscalar e_N = e_1...e_m, up to a sign, onto v xor (2^m - 1).
+The sectors thus fall into floor(m/2) + 1 orbits, one per
+min(|v|, m - |v|).  Only each orbit's representative has its S and T
+blocks built and S o T inverted, by fraction-free integer elimination:
+every sector is solved in its representative's frame.
 
 Every operator has an integer matrix in the (monomial, blade) basis.
 `sector_operator` builds these matrices once per (operator, m, degree)
@@ -41,7 +41,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from . import linalg
 from .algebra import _as_fraction, blade_sign, blades_in_order
@@ -108,9 +108,10 @@ def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolyno
     table = _monomial_table(m, k)[1]
     nums: dict[Monomial, dict[int, int]] = {}
     for v, values in enumerate(vec):
-        for (mono, par), x in zip(table, values):
-            if x:
-                nums.setdefault(mono, {})[v ^ par] = x
+        if any(values):
+            for (mono, par), x in zip(table, values):
+                if x:
+                    nums.setdefault(mono, {})[v ^ par] = x
     return CliffordPolynomial._trusted(m, den, nums)
 
 
@@ -271,22 +272,27 @@ def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
     sectors, so one run of op's chain on the sum over v of
     x^a e_(v xor parity(a)) gives column a of all 2^m blocks.
     """
+    return _sector_blocks(op, m, k_in, range(1 << m))
+
+
+def _sector_blocks(op: str, m: int, k_in: int, sectors) -> tuple[SectorColumns, ...]:
+    """`sector_operator`'s blocks of the listed sectors only, in their order, uncached."""
     if op not in _CHAINS:
         raise ValueError(f"unknown operator {op!r}")
     _check_degree(k_in)
-    n = 1 << m
     k_out = k_in + _DEGREE_SHIFT[op]
     index, table = _monomial_table(m, k_out) if k_out >= 0 else ({}, ())
-    blocks = [[] for _ in range(n)]
+    position = {v: t for t, v in enumerate(sectors)}
+    blocks = [[] for _ in position]
     for a, par in _monomial_table(m, k_in)[1]:
-        numerators = {a: {v ^ par: 1 for v in range(n)}}
+        numerators = {a: {v ^ par: 1 for v in position}}
         for step in _CHAINS[op]:
             numerators = _apply_integer(step, m, numerators)
-        columns = [[] for _ in range(n)]
+        columns = [[] for _ in position]
         for b, blades in numerators.items():
             r = index[b]
             for mask, x in blades.items():
-                columns[mask ^ table[r][1]].append((r, x))
+                columns[position[mask ^ table[r][1]]].append((r, x))
         for block, col in zip(blocks, columns):
             block.append(tuple(sorted(col)))
     return tuple(map(tuple, blocks))
@@ -321,75 +327,98 @@ def _weights(m: int, k: int) -> tuple[int, ...]:
 # -- sector decomposition --------------------------------------------------------
 
 
-def _composition(m: int, k: int, sectors) -> list[list[list[int]]]:
-    """Dense integer blocks S o T of Q -> sandwich(x Q x) on P(k-2), one per listed sector.
+def _orbits(m: int) -> list[tuple[int, int]]:
+    """(representative sector 2^j - 1, orbit size) for j = 0..floor(m/2)."""
+    return [((1 << j) - 1, comb(m, j) * (1 if 2 * j == m else 2)) for j in range(m // 2 + 1)]
 
-    Column i of sector v's block is S_v T_v e_i, applied by `_apply`.
+
+def _composition(sand, wrap) -> list[list[list[int]]]:
+    """Dense integer blocks S o T of Q -> sandwich(x Q x) on P(k-2), one per (S, T) pair of a sector.
+
+    Column i of a block is S T e_i, applied by `_apply`.
     """
-    n, n_k = monomial_count(m, k - 2), monomial_count(m, k)
-    wrap, sand = sector_operator("wrap_x", m, k - 2), sector_operator("sandwich", m, k)
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
     out = []
-    for v in sectors:
-        columns = [_apply(sand[v], _apply(wrap[v], e, n_k), n) for e in unit]
+    for s_cols, t_cols in zip(sand, wrap):
+        n, n_k = len(t_cols), len(s_cols)
+        columns = [_apply(s_cols, _apply(t_cols, [int(i == l) for l in range(n)], n_k), n) for i in range(n)]
         out.append([list(row) for row in zip(*columns)])
     return out
 
 
-def _conjugation(m: int, k: int, v: int) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
-    """Sector v of P(k) as the image of its orbit representative: (j, (index, sign) per element).
+def _conjugation(m: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """Every sector v of P(k) as the image of its orbit representative 2^j - 1, j = min(|v|, m - |v|).
 
-    The representative is sector 2^j - 1, j = min(|v|, m - |v|).  When
-    |v| > j, right multiplication by the pseudoscalar e_N first carries
+    Entry v is (src, signs), the signed permutation P with
+    (P x)_i = signs[i] x[src[i]], or None where P is the identity (v = 2^j - 1).
+    When |v| > j, right multiplication by the pseudoscalar e_N last carries
     sector u = v xor (2^m - 1), of weight j, onto v: it keeps each
     monomial and maps x^a e_A to the sign of e_A e_N times x^a e_(A xor N).
     The coordinate permutation sigma sends axes 0..j-1 onto u's bits and
     the others onto the rest, both in ascending order.  It maps x^a e_A to
     x^sigma(a) times e_A with sigma applied to each factor, which is
-    +-1 times a basis element once the factors are sorted.  Entry i names
-    the element of the representative's sector that lands on element i of
-    sector v, and the product of both signs; the third value is the
-    inverse map, with the same signs.
+    +-1 times a basis element once the factors are sorted.  So v and
+    v xor (2^m - 1) share src, and each sign depends only on the
+    element's parity.
     """
     full = (1 << m) - 1
-    weight = bin(v).count("1")
-    j = min(weight, m - weight)
-    u = v if weight == j else v ^ full
-    sigma = [b for b in range(m) if u >> b & 1] + [b for b in range(m) if not u >> b & 1]
-    rep = (1 << j) - 1
     index, table = _monomial_table(m, k)
-    source = []
-    for b, par in table:
-        i = index[tuple(b[t] for t in sigma)]
-        mask, blade = rep ^ table[i][1], 0
-        sign = 1 if u == v else blade_sign(u ^ par, full)
-        for t in range(m):
-            if mask >> t & 1:
-                sign *= blade_sign(blade, 1 << sigma[t])
-                blade |= 1 << sigma[t]
-        source.append((i, sign))
-    return j, source, [(i, sign) for _, i, sign in sorted((t, i, sign) for i, (t, sign) in enumerate(source))]
+    maps = [None] * (full + 1)
+    for u in range(full + 1):
+        j = bin(u).count("1")
+        if 2 * j > m:
+            continue
+        sigma = [b for b in range(m) if u >> b & 1] + [b for b in range(m) if not u >> b & 1]
+        src = tuple(index[tuple(a[t] for t in sigma)] for a, _ in table)
+        # sigma keeps the order within u's bits and within the rest, so sorting the renamed
+        # blade u xor par swaps each pair of a bit in u above a bit outside it
+        sign = {par: blade_sign(u & ~par, par & ~u) for par in {par for _, par in table}}
+        if u != (1 << j) - 1:
+            maps[u] = (src, tuple(sign[par] for _, par in table))
+        if 2 * j < m:
+            pseudo = {par: x * blade_sign(u ^ par, full) for par, x in sign.items()}
+            maps[u ^ full] = (src, tuple(pseudo[par] for _, par in table))
+    return maps
+
+
+def _unpermute(x: list[int], conj) -> list[int]:
+    """P^-1 x for the signed permutation P of `_conjugation`: entry src[i] is signs[i] x[i]."""
+    if conj is None:
+        return x
+    out = [0] * len(x)
+    for i, sign, value in zip(*conj, x):
+        out[i] = sign * value
+    return out
+
+
+def _permute(x: list[int], conj, eps: int = 1) -> list[int]:
+    """eps P x for the signed permutation P of `_conjugation`; eps is 1 wherever P is the identity."""
+    if conj is None:
+        return x
+    src, signs = conj
+    return [eps * sign * x[i] for i, sign in zip(src, signs)]
 
 
 @lru_cache(maxsize=None)
-def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...], tuple]:
-    """Inverses of the composed map on P(k-2): (den, representatives' integer matrices, conjugations).
+def _composition_solver(m: int, k: int) -> tuple:
+    """What a split of P(k) reads, for orbit representatives only: (den, inverses, sand, wrap, sectors).
 
-    Coordinate permutations and right multiplication by the pseudoscalar
-    commute with S o T (see the module docstring), so only the
-    representatives v = 2^j - 1, j <= m/2, are composed and inverted, by
-    `linalg.integer_inverse`, and entry j of the second value is orbit j's
-    inverse times den, the lcm of their reduced denominators.  Entry v of
-    the third value is `_conjugation(m, k - 2, v)`: with (src_i, s_i) its
-    source, sector v's inverse times den has entry (i, l) equal to
-    s_i s_l R[src_i][src_l], R being its orbit's matrix.  Both sides of
-    each j <-> m - j pair cost the same to invert, within a few percent
-    from (3, 6) to (6, 6), so the side with j = 0 is taken.  Singularity
-    would contradict the direct-sum theorem and is treated as an internal
-    error.
+    Entry j of the next three values belongs to the representative
+    r = 2^j - 1, j <= m/2: den times the inverse of its S o T block on
+    P(k-2), by `linalg.integer_inverse`, den being the lcm of their
+    reduced denominators, and its `sector_operator` blocks S_r of the
+    sandwich on P(k) and T_r of wrap_x on P(k-2).  Entry v of sectors is
+    (j, eps, P_k, P_(k-2)), the last two from `_conjugation`:
+    S_v = eps P_(k-2) S_r P_k^-1 and T_v = eps P_k T_r P_(k-2)^-1, eps
+    being 1 when |v| <= m/2 and (-1)^(m-1) otherwise.  Both sides of each
+    j <-> m - j pair cost the same to invert, within a few percent from
+    (3, 6) to (6, 6), so the side with j = 0 is taken.  Singularity
+    would contradict the direct-sum theorem and is treated as an
+    internal error.
     """
+    reps = [rep for rep, _ in _orbits(m)]
+    sand, wrap = _sector_blocks("sandwich", m, k, reps), _sector_blocks("wrap_x", m, k - 2, reps)
     inverses = []
-    for block in _composition(m, k, [(1 << j) - 1 for j in range(m // 2 + 1)]):
+    for block in _composition(sand, wrap):
         try:
             inverses.append(linalg.integer_inverse(block))
         except linalg.SingularMatrixError as exc:
@@ -398,21 +427,29 @@ def _composition_solver(m: int, k: int) -> tuple[int, tuple[tuple[tuple[int, ...
                 f"for m={m}; this indicates an implementation bug"
             ) from exc
     den = lcm(*(d for d, _ in inverses))
-    reps = tuple(tuple(tuple(x * (den // d) for x in row) for row in inverse) for d, inverse in inverses)
-    return den, reps, tuple(_conjugation(m, k - 2, v) for v in range(1 << m))
+    scaled = tuple(tuple(tuple(x * (den // d) for x in row) for row in inverse) for d, inverse in inverses)
+    popcounts = [bin(v).count("1") for v in range(1 << m)]
+    sectors = tuple((min(w, m - w), 1 if 2 * w <= m else (-1) ** (m - 1), high, low)
+                    for w, high, low in zip(popcounts, _conjugation(m, k), _conjugation(m, k - 2)))
+    return den, scaled, sand, wrap, sectors
 
 
 def composition_rank(m: int, k: int) -> int:
-    """Rank of Q -> sandwich(x Q x) on P(k-2), by exact sector elimination; 0 below degree 2."""
+    """Rank of Q -> sandwich(x Q x) on P(k-2): orbit sizes times representatives' exact ranks."""
     _check_degree(k)
-    return sum(map(linalg.rank, _composition(m, k, range(1 << m)))) if k >= 2 else 0
+    if k < 2:
+        return 0
+    reps, sizes = zip(*_orbits(m))
+    blocks = _composition(_sector_blocks("sandwich", m, k, reps), _sector_blocks("wrap_x", m, k - 2, reps))
+    return sum(size * linalg.rank(block) for size, block in zip(sizes, blocks))
 
 
 def sandwich_rank(m: int, k: int) -> int:
-    """Rank of the sandwich operator on P(k), by exact sector elimination."""
-    blocks = sector_operator("sandwich", m, k)  # first, so that it checks k
+    """Rank of the sandwich operator on P(k): orbit sizes times representatives' exact ranks."""
+    reps, sizes = zip(*_orbits(m))
+    blocks = _sector_blocks("sandwich", m, k, reps)  # first, so that it checks k
     n = monomial_count(m, k - 2) if k >= 2 else 0
-    return sum(linalg.rank(_block(columns, n)) for columns in blocks)
+    return sum(size * linalg.rank(_block(columns, n)) for size, columns in zip(sizes, blocks))
 
 
 def infra_space_dim(m: int, k: int) -> int:
@@ -480,14 +517,17 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
 
     Degrees 0 and 1 are wholly inframonogenic and return a zero quotient.
     Above that, p's integer coordinates c are split per sector as
-    den c = infra + T quotient, with quotient = (S T)^-1 S den c.  Two
-    flags test the solve on those integers: S infra = 0, and
-    T^t W infra = 0, i.e. the Fischer pairing of infra with x b x for
-    every basis element b of P(k-2).  The reconstruction flag tests what
-    is returned: the coordinates of the returned infra_part plus T times
-    those of the returned quotient must equal p's, compared exactly
-    across the three denominators, so a wrong conversion back to
-    polynomials makes it False.
+    den c = infra + T quotient, with quotient = (S T)^-1 S den c, in the
+    frame of the sector's orbit representative (`_composition_solver`):
+    infra = P_k infra_r, infra_r = den c_r - T_r q_r, and quotient =
+    eps P_(k-2) q_r, with c_r = P_k^-1 c and q_r = den (S_r T_r)^-1 S_r c_r.
+    Two flags test the solve on those integers: S_r infra_r = 0, and
+    T_r^t W infra_r = 0, i.e. the Fischer pairing of infra with x b x for
+    every basis element b of P(k-2), W (the a! weights) being invariant
+    under P_k.  The reconstruction flag tests what is returned: the
+    coordinates of the returned infra_part plus T times those of the
+    returned quotient must equal p's, compared exactly across the three
+    denominators, so a wrong conversion back to polynomials makes it False.
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
@@ -496,39 +536,38 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
         zero = CliffordPolynomial.zero(m)
         return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
     vec, den = _sector_coords(p, k)
-    solver_den, reps, sectors = _composition_solver(m, k)
+    solver_den, inverses, sand, wrap, sectors = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
     weights = _weights(m, k)
-    wrap = sector_operator("wrap_x", m, k - 2)
     infra: SectorVector = []
     quotient: SectorVector = []
     sandwich_zero = orthogonal = True
-    for c, s_cols, t_cols, (j, source, back) in zip(vec, sector_operator("sandwich", m, k), wrap, sectors):
+    for c, (j, eps, high, low) in zip(vec, sectors):
         if not any(c):
             infra.append(c)
             quotient.append([0] * n_low)
             continue
+        s_cols, t_cols, c = sand[j], wrap[j], _unpermute(c, high)
         rhs = _apply(s_cols, c, n_low)
-        # q_i = s_i (R y)[src_i] with y[src_l] = s_l rhs_l, R = reps[j]: orbit j's inverse in this sector
-        r = linalg.mat_vec(reps[j], [sign * rhs[i] for i, sign in back]) if any(rhs) else [0] * n_low
-        q = [sign * r[i] for i, sign in source]
+        q = linalg.mat_vec(inverses[j], rhs) if any(rhs) else [0] * n_low
         inf = [solver_den * x - y for x, y in zip(c, _apply(t_cols, q, len(c)))]
         sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
         if orthogonal:
             weighted = [w * x for w, x in zip(weights, inf)]
             orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
-        infra.append(inf)
-        quotient.append(q)
+        infra.append(_permute(inf, high))
+        quotient.append(_permute(q, low, eps))
     infra_part = _from_sectors(m, k, infra, den * solver_den)
     quotient_part = _from_sectors(m, k - 2, quotient, den * solver_den)
-    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den
+    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den,
+    # with T_v b = eps P_k T_r P_(k-2)^-1 b
     got_infra, di = _sector_coords(infra_part, k)
     got_quotient, dq = _sector_coords(quotient_part, k - 2)
     reconstruction = all(
         den * (dq * x + di * y) == di * dq * z
-        for a, b, t_cols, c in zip(got_infra, got_quotient, wrap, vec)
+        for a, b, c, (j, eps, high, low) in zip(got_infra, got_quotient, vec, sectors)
         if any(a) or any(b) or any(c)
-        for x, y, z in zip(a, _apply(t_cols, b, len(c)), c)
+        for x, y, z in zip(a, _permute(_apply(wrap[j], _unpermute(b, low), len(c)), high, eps), c)
     )
     checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
     return DecompositionResult(p, infra_part, quotient_part, checks)

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +31,7 @@ from inframono import (
     is_two_sided_monogenic,
     kernel_basis,
     laplacian,
+    monomial_basis,
     monomial_count,
     mul_by_x_left,
     poly_basis,
@@ -483,19 +485,28 @@ class TestOrbitSolver:
         [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)] + [(5, 4), (5, 5), (6, 2), (6, 3), (6, 4)],
     )
     def test_every_sector_equals_direct_elimination(self, m, k):
-        den, reps, sectors = fischer._composition_solver(m, k)
-        direct = [linalg.invert(block) for block in fischer._composition(m, k, range(1 << m))]
-        assert len(reps) == m // 2 + 1
+        den, reps, sand, wrap, sectors = fischer._composition_solver(m, k)
+        all_sand, all_wrap = fischer.sector_operator("sandwich", m, k), fischer.sector_operator("wrap_x", m, k - 2)
+        direct = [linalg.invert(block) for block in fischer._composition(all_sand, all_wrap)]
+        assert len(reps) == len(sand) == len(wrap) == m // 2 + 1
         assert len(sectors) == len(direct) == 1 << m
-        for (j, source, back), inverse in zip(sectors, direct):
+        n = monomial_count(m, k - 2)
+        for v, ((j, eps, _, low), inverse) in enumerate(zip(sectors, direct)):
             # sector v's inverse, expanded from its orbit's: entry (i, l) is s_i s_l R[src_i][src_l]
+            weight = bin(v).count("1")
+            assert (j, eps) == (min(weight, m - weight), (-1) ** (m - 1) if 2 * weight > m else 1)
+            assert (low is None) == (v == (1 << j) - 1)
+            source = list(zip(*low)) if low else [(i, 1) for i in range(n)]
             rep = reps[j]
             matrix = [[s * t * rep[i][l] for l, t in source] for i, s in source]
             assert [[Fraction(x, den) for x in row] for row in matrix] == inverse
-            assert len(back) == len(source)
-            assert all(back[t] == (i, s) for i, (t, s) in enumerate(source))
+            assert sorted(i for i, _ in source) == list(range(n))
+            assert all(s in (1, -1) for _, s in source)
         dens = [lcm(*(x.denominator for row in inverse for x in row)) for inverse in direct]
         assert den == lcm(*dens)
+        # the held blocks are the representatives' own
+        assert sand == tuple(all_sand[(1 << j) - 1] for j in range(m // 2 + 1))
+        assert wrap == tuple(all_wrap[(1 << j) - 1] for j in range(m // 2 + 1))
 
     def test_singular_block_is_reported(self, monkeypatch):
         # S o T is invertible on every sector, so only a faulty elimination reaches this branch
@@ -521,6 +532,33 @@ class TestOrbitSolver:
         fischer._composition_solver.cache_clear()
         fischer._composition_solver(m, k)
         assert sizes == [monomial_count(m, k - 2)] * (m // 2 + 1)
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_dense_split_beyond_the_dense_oracle(self, m):
+        """A seeded input on every monomial, so on most sectors, checked only with the polynomial operators."""
+        rng = random.Random(m)
+        p = CliffordPolynomial(m, {
+            a: Multivector(m, {rng.randrange(1 << m): Fraction(rng.randint(1, 9), rng.randint(1, 4))})
+            for a in monomial_basis(m, 4)
+        })
+        result = fischer_decompose(p)
+        assert result.checks == DecompositionChecks(True, True, True)
+        assert is_inframonogenic(result.infra_part)
+        assert result.infra_part + wrap_x(result.quotient) == p
+
+    def test_cold_solver_holds_little_memory(self):
+        """A cold (8, 4) solver holds floor(m/2)+1 blocks per operator, not 2^m: 31 MiB held before, 2.2 MiB now."""
+        fischer._composition_solver.cache_clear()
+        fischer.sector_operator.cache_clear()
+        tracemalloc.start()
+        try:
+            solver = fischer._composition_solver(8, 4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            fischer._composition_solver.cache_clear()
+        assert len(solver[1]) == len(solver[2]) == len(solver[3]) == 5
+        assert held < 8 * 2**20
 
 
 class TestAlmansi:

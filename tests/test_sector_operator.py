@@ -105,26 +105,27 @@ def test_composition_equals_dense_product(m, k):
     """Each dense S o T block is the product of the sandwich and wrap_x sector blocks."""
     n, n_k = monomial_count(m, k - 2), monomial_count(m, k)
     sand, wrap = sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2)
-    blocks = fischer._composition(m, k, range(1 << m))
+    blocks = fischer._composition(sand, wrap)
     assert len(blocks) == 1 << m
     for v, block in enumerate(blocks):
         assert block == matmul(fischer._block(sand[v], n), fischer._block(wrap[v], n_k)), v
 
 
-def test_decompose_caches_two_sector_blocks():
-    """A split reads the sandwich blocks on P(k) and the wrap_x blocks on P(k-2), nothing else."""
+def test_decompose_and_tower_build_no_all_sector_blocks():
+    """A split reads the representatives' blocks its solver holds, never `sector_operator`'s 2^m blocks."""
     sector_operator.cache_clear()
     fischer_decompose(CliffordPolynomial.monomial(3, (2, 1, 1), 1))
-    assert sector_operator.cache_info().currsize == 2
+    fischer_tower(CliffordPolynomial.monomial(4, (3, 1, 1, 1), 1))
+    assert sector_operator.cache_info().currsize == 0
 
 
 def _perturbed_solver(monkeypatch, m, k, j=0):
     """Replace the cached (m, k) solver by a copy with one entry of orbit j's inverse off by one."""
     real = fischer._composition_solver
-    den, reps, sectors = real(m, k)
-    block = [list(row) for row in reps[j]]
+    den, inverses, *held = real(m, k)
+    block = [list(row) for row in inverses[j]]
     block[0][0] += 1
-    fake = (den, reps[:j] + (tuple(map(tuple, block)),) + reps[j + 1:], sectors)
+    fake = (den, inverses[:j] + (tuple(map(tuple, block)),) + inverses[j + 1:], *held)
     monkeypatch.setattr(fischer, "_composition_solver",
                         lambda m2, k2: fake if (m2, k2) == (m, k) else real(m2, k2))
 
@@ -146,7 +147,7 @@ def test_flags_catch_a_corrupted_inverse(monkeypatch):
 
 @pytest.mark.parametrize("j,v", [(0, 0b111), (1, 0b010)])
 def test_flags_catch_a_corrupted_representative_in_another_sector(monkeypatch, j, v):
-    """Sector v is no representative, so its solve reads orbit j's inverse through a signed permutation."""
+    """Sector v is no representative, so it is solved in orbit j's frame through signed permutations."""
     m, k = 3, 4
     p = CliffordPolynomial(m, {a: Multivector(m, {v ^ par: i + 1})
                                for i, (a, par) in enumerate(fischer._monomial_table(m, k)[1])})
@@ -182,3 +183,37 @@ def test_columns_ascend_and_hold_nonzero_ints(m):
                     assert rows == sorted(set(rows)), (op, k)
                     assert all(0 <= r < n_rows for r in rows)
                     assert all(type(x) is int and x for _, x in col), (op, k)
+
+
+# Whether right multiplication by the pseudoscalar e_N passes the operator with the sign (-1)^(m-1).
+PSEUDOSCALAR_ODD = {"sandwich": True, "wrap_x": True, "dirac_right": True, "dirac_left": False, "laplacian": False}
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 4, 5) for k in range(6)])
+def test_every_sector_block_is_a_signed_conjugate_of_its_representative(m, k):
+    """O_v[i][l] = eps s_i s_l O_rep[src_i][src_l], entry by entry, for every sector v.
+
+    (src, s) is `_conjugation`'s map at the output degree for i and at the
+    input degree for l, the identity in a representative sector.  eps is
+    1 when |v| <= m/2; on the pseudoscalar half it is (-1)^(m-1) for the
+    sandwich, wrap_x and the right Dirac operator, and 1 for the left
+    Dirac operator and the Laplacian.
+    """
+    for op, odd in PSEUDOSCALAR_ODD.items():
+        k_out = k + REFERENCE_OPERATORS[op][1]
+        if k_out < 0:
+            continue
+        n_in, n_out = monomial_count(m, k), monomial_count(m, k_out)
+        blocks = [fischer._block(columns, n_out) for columns in sector_operator(op, m, k)]
+        maps_out, maps_in = fischer._conjugation(m, k_out), fischer._conjugation(m, k)
+        for v, block in enumerate(blocks):
+            weight = bin(v).count("1")
+            j = min(weight, m - weight)
+            assert (maps_in[v] is None) == (maps_out[v] is None) == (v == (1 << j) - 1)
+            eps = (-1) ** (m - 1) if odd and 2 * weight > m else 1
+            rows = list(zip(*maps_out[v])) if maps_out[v] else [(i, 1) for i in range(n_out)]
+            cols = list(zip(*maps_in[v])) if maps_in[v] else [(l, 1) for l in range(n_in)]
+            assert sorted(i for i, _ in rows) == list(range(n_out))
+            assert sorted(l for l, _ in cols) == list(range(n_in))
+            rep = blocks[(1 << j) - 1]
+            assert block == [[eps * s * t * rep[i][l] for l, t in cols] for i, s in rows], (op, v)
