@@ -62,6 +62,7 @@ from .polynomials import (
     _check_degree,
     _combination,
     _from_fractions,
+    _parity,
     euler,
     monomial_basis,
     monomial_count,
@@ -84,8 +85,7 @@ def poly_basis(m: int, k: int) -> tuple[tuple[Monomial, int], ...]:
 def _monomial_table(m: int, k: int) -> tuple[dict[Monomial, int], tuple[tuple[Monomial, int], ...]]:
     """Index of each degree-k monomial, and (monomial, parity: mask of odd exponents) by index."""
     monos = monomial_basis(m, k)
-    parities = (sum(1 << j for j, e in enumerate(a) if e & 1) for a in monos)
-    return {a: i for i, a in enumerate(monos)}, tuple(zip(monos, parities))
+    return {a: i for i, a in enumerate(monos)}, tuple((a, _parity(a)) for a in monos)
 
 
 # Sector-local integer coordinates: entry v lists the numerators of sector v.

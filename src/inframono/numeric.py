@@ -38,6 +38,13 @@ class NumericMultivector:
             self.values = values
 
     @classmethod
+    def _trusted(cls, dim: int, values: list[float]) -> "NumericMultivector":
+        """Wrap a list of 1 << dim floats as is: no checks, no copy."""
+        out = cls.__new__(cls)
+        out.dim, out.values = dim, values
+        return out
+
+    @classmethod
     def from_exact(cls, a: Multivector) -> "NumericMultivector":
         out = [0.0] * (1 << a.dim)
         for mask, coeff in a.items():
@@ -254,7 +261,8 @@ class TrigExpFamily:
         x1, x2 = point
         up, down = self._profiles(x1, 0)
         angle = self.n * x2
-        return NumericMultivector(2, [0.0, (up + down) * math.cos(angle), (down - up) * math.sin(angle), 0.0])
+        values = [0.0, (up + down) * math.cos(angle), (down - up) * math.sin(angle), 0.0]
+        return NumericMultivector._trusted(2, values)
 
 
 def ode_system_residual(family: TrigExpFamily, x1: float) -> tuple[float, float]:

@@ -16,6 +16,8 @@ Polynomials are stored as integer numerators over one denominator; the
 Dirac-type operators and the predicates run that core on the stored
 numerators and build no Fraction.  Every operator has an integer matrix,
 so the denominator cannot change whether a chain of them sends p to zero.
+The predicates use D_L^2 = D_R^2 = -Lap, and that every operator maps
+each sign-flip sector (see `fischer`) into itself.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from fractions import Fraction
 from .algebra import Multivector
 from .polynomials import (
     CliffordPolynomial,
+    _Numerators,
     _apply_integer,
     _apply_primitive,
     _combination,
+    _parity,
     mul_by_x_left,
     mul_by_x_right,
 )
@@ -95,14 +99,20 @@ def is_k_monogenic(p: CliffordPolynomial, k: int, side: str = "both") -> bool:
     """Annihilation by the k-th Dirac power from the given side(s).
 
     Each Dirac action lowers the degree by one, so D^k p = 0 once k > deg p;
-    the chain is capped at deg p + 1 passes, whatever k.
+    the power is capped at deg p + 1, whatever k.  D^k = (-Lap)^(k//2)
+    D^(k mod 2) from either side: one Laplacian power for both sides.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"order must be a positive int, got {k!r}")
     if side not in ("left", "right", "both"):
         raise ValueError(f"side must be 'left', 'right' or 'both', got {side!r}")
     passes = min(k, (p.degree() or 0) + 1)
-    return all(_vanishes(p, *(f"dirac_{action_side}",) * passes)
+    numerators = p._nums
+    for _ in range(passes // 2):
+        numerators = _apply_integer("laplacian", p.dim, numerators)
+    if passes % 2 == 0:
+        return not numerators
+    return all(not _apply_integer(f"dirac_{action_side}", p.dim, numerators)
                for action_side in ("left", "right") if side in (action_side, "both"))
 
 
@@ -114,29 +124,56 @@ def is_biharmonic(p: CliffordPolynomial) -> bool:
     return _vanishes(p, "laplacian", "laplacian")
 
 
+def _sector_split(numerators: _Numerators) -> tuple[_Numerators, _Numerators]:
+    """Numerators in the first term's sign-flip sector v (blade v xor _parity(a) at x^a), and the rest."""
+    first, rest = {}, {}
+    sector = next((_parity(a) ^ next(iter(blades)) for a, blades in numerators.items()), 0)
+    for a, blades in numerators.items():
+        mask = sector ^ _parity(a)
+        if mask in blades:
+            first[a] = {mask: blades[mask]}
+            blades = len(blades) > 1 and {b: x for b, x in blades.items() if b != mask}
+        if blades:
+            rest[a] = blades
+    return first, rest
+
+
 def predicate_report(p: CliffordPolynomial) -> dict[str, bool]:
     """All predicate verdicts in a fixed, printable order.
 
     The verdicts are those of the single predicates above (the three
-    monogenic ones with k = 3).  Each operator chain is computed once on
-    p's numerators with the integer core:
-    D_L, D_L^2, D_L^3, D_R, D_R^2, D_R^3, D_R D_L, Lap and Lap^2.  Each
-    verdict is whether its chain's result is empty.
+    monogenic ones with k = 3).  Seven operator chains decide them, on
+    p's numerators with the integer core: D_L, D_R, D_R D_L, Lap, and
+    D_L Lap, D_R Lap and Lap^2, since D^3 p = -D Lap p.  The chains run
+    first on the terms in the sector of p's first term, then, for the
+    verdicts still True, on the other sectors.  The sectors' images have
+    disjoint supports, so a verdict is False iff some part's chain result
+    is nonempty.  Each chain prefix is computed at most once per part.
     """
     m = p.dim
-    left, right, lap = (_apply_integer(op, m, p._nums)
-                        for op in ("dirac_left", "dirac_right", "laplacian"))
+    left = right = infra = lap = lap_left = lap_right = bilap = True
+    for part in filter(None, _sector_split(p._nums)):
+        if left or infra:
+            d_left = _apply_integer("dirac_left", m, part)
+            left = left and not d_left
+            infra = infra and not (d_left and _apply_integer("dirac_right", m, d_left))
+        right = right and not _apply_integer("dirac_right", m, part)
+        if lap or lap_left or lap_right or bilap:
+            d_lap = _apply_integer("laplacian", m, part)
+            if d_lap:
+                lap = False
+                lap_left = lap_left and not _apply_integer("dirac_left", m, d_lap)
+                lap_right = lap_right and not _apply_integer("dirac_right", m, d_lap)
+                bilap = bilap and not _apply_integer("laplacian", m, d_lap)
     return {
-        "left_monogenic": not left,
-        "right_monogenic": not right,
-        "two_sided_monogenic": not left and not right,
-        "inframonogenic": not _apply_integer("dirac_right", m, left),
-        "three_monogenic_left":
-            not _apply_integer("dirac_left", m, _apply_integer("dirac_left", m, left)),
-        "three_monogenic_right":
-            not _apply_integer("dirac_right", m, _apply_integer("dirac_right", m, right)),
-        "harmonic": not lap,
-        "biharmonic": not _apply_integer("laplacian", m, lap),
+        "left_monogenic": left,
+        "right_monogenic": right,
+        "two_sided_monogenic": left and right,
+        "inframonogenic": infra,
+        "three_monogenic_left": lap_left,
+        "three_monogenic_right": lap_right,
+        "harmonic": lap,
+        "biharmonic": bilap,
     }
 
 

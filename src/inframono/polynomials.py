@@ -34,6 +34,15 @@ def monomial_degree(exponents: Monomial) -> int:
     return sum(exponents)
 
 
+def _parity(exponents: Monomial) -> int:
+    """Mask of the odd exponents: x^a e_A lies in the sign-flip sector _parity(a) xor A."""
+    mask = 0
+    for j, e in enumerate(exponents):
+        if e & 1:
+            mask |= 1 << j
+    return mask
+
+
 def monomial_sort_key(exponents: Monomial) -> tuple[int, tuple[int, ...]]:
     """Graded-lex order: by total degree, then descending lexicographic."""
     return (sum(exponents), tuple(-e for e in exponents))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from inframono import operators
+from inframono.polynomials import _apply_integer, _parity
 from inframono import (
     CliffordPolynomial,
     KernelSampler,
@@ -279,8 +280,10 @@ def test_predicates_match_reference_operators():
     """predicate_report and every is_* predicate against the reference operators.
 
     Inhomogeneous inputs at m = 1..8 with mixed denominators, kernel
-    samples (so that True verdicts occur) scaled by odd denominators, and
-    the dense-blade inputs at m = 7 and 8.
+    samples (so that True verdicts occur) scaled by odd denominators, the
+    dense-blade inputs at m = 7 and 8, kernel samples cut down to one
+    sign-flip sector, and kernel samples plus one term in another sector
+    (so that the second pass of predicate_report decides verdicts).
     """
     rng = random.Random(21)
     inputs = []
@@ -297,6 +300,7 @@ def test_predicates_match_reference_operators():
             inputs.append(draw() / rng.choice((1, 3, 7)))
     inputs += [p for _, _, p in many_blade_inputs()]
     inputs += [CliffordPolynomial.zero(3), x_vector(5)]
+    inputs += single_sector_kernel_inputs() + kernel_inputs_with_a_stray_term(rng)
     seen = Counter()
     for p in inputs:
         for name, verdict in assert_predicates_match_reference(p).items():
@@ -304,27 +308,172 @@ def test_predicates_match_reference_operators():
     assert all(seen[name, verdict] for name, _ in seen for verdict in (True, False)), seen
 
 
-def test_predicate_report_computes_each_chain_once(monkeypatch):
-    """Reference verdicts and key order, from 7 Dirac and 2 Laplacian integer-core calls."""
+def sector_terms(numerators, sector, inside=True):
+    """The numerators of the terms x^a e_A in sign-flip sector `sector` (or outside it)."""
+    out = {}
+    for a, blades in numerators.items():
+        kept = {mask: x for mask, x in blades.items() if (_parity(a) ^ mask == sector) == inside}
+        if kept:
+            out[a] = kept
+    return out
+
+
+def first_sector(p):
+    a, blades = next(iter(p._nums.items()))
+    return _parity(a) ^ next(iter(blades))
+
+
+def in_sector(p, sector):
+    return CliffordPolynomial(p.dim, {a: Multivector(p.dim, {mask: Fraction(x, p._den)
+                                                             for mask, x in blades.items()})
+                                      for a, blades in sector_terms(p._nums, sector).items()})
+
+
+def single_sector_kernel_inputs():
+    """KernelSampler outputs cut down to their first term's sector; still in the kernel."""
+    inputs = []
+    for m, k in ((2, 4), (3, 3), (4, 3)):
+        sampler = KernelSampler(m, k, seed=10 + m)
+        for draw in (sampler.left_monogenic, sampler.right_monogenic,
+                     sampler.two_sided_monogenic, sampler.inframonogenic, sampler.harmonic):
+            p = draw()
+            inputs.append(in_sector(p, first_sector(p)))
+    return inputs
+
+
+def kernel_inputs_with_a_stray_term(rng):
+    """KernelSampler outputs plus one term in a sector other than the first term's."""
+    inputs = []
+    for m, k in ((2, 5), (3, 4), (4, 3)):
+        sampler = KernelSampler(m, k, seed=20 + m)
+        for draw in (sampler.left_monogenic, sampler.right_monogenic,
+                     sampler.two_sided_monogenic, sampler.inframonogenic, sampler.harmonic):
+            p = draw()
+            sector = first_sector(p)
+            mono = rng.choice([b for d in range(1, k + 2) for b in monomial_basis(m, d)
+                               if b not in p._nums])
+            stray = sector ^ rng.randrange(1, 1 << m)
+            q = CliffordPolynomial(m, {**p.terms(), mono: Multivector(m, {stray ^ _parity(mono): 1})})
+            assert first_sector(q) == sector and sector_terms(q._nums, sector, inside=False)
+            inputs.append(q)
+    return inputs
+
+
+def recorded_calls(monkeypatch):
+    """The (op, input numerators) of every integer-core call the operators module makes."""
+    calls = []
+    original = operators._apply_integer
+
+    def recording(op, m, numerators):
+        calls.append((op, numerators))
+        return original(op, m, numerators)
+
+    monkeypatch.setattr(operators, "_apply_integer", recording)
+    return calls
+
+
+def frozen(numerators):
+    return tuple(sorted((a, tuple(sorted(blades.items()))) for a, blades in numerators.items()))
+
+
+def test_predicate_report_computes_each_chain_prefix_once_per_part(monkeypatch):
+    """Reference verdicts and key order; per part, no (op, input) twice and at most 7 chains.
+
+    A part is the first term's sector or the rest of p; every call reads
+    one part or a chain result from it.  Per part the seven chains apply
+    D_L twice (D_L, D_L Lap), D_R three times (D_R, D_R D_L, D_R Lap) and
+    Lap twice (Lap, Lap^2) at most.
+    """
     rng = random.Random(9)
     sampler = KernelSampler(3, 4, seed=3)
     inputs = [random_polynomial(rng, m, rng.randint(0, 6), homogeneous=False)
               for m in (2, 3, 4) for _ in range(4)]
     inputs += [CliffordPolynomial.zero(3), x_vector(3), sampler.left_monogenic(),
                sampler.right_monogenic(), sampler.inframonogenic(), sampler.harmonic()]
+    inputs += single_sector_kernel_inputs() + kernel_inputs_with_a_stray_term(rng)
     expected = [reference_report(p) for p in inputs]
-    calls = Counter()
-    original = operators._apply_integer
-
-    def counted(op, m, numerators):
-        calls[op] += 1
-        return original(op, m, numerators)
-
-    monkeypatch.setattr(operators, "_apply_integer", counted)
+    calls = recorded_calls(monkeypatch)
+    most = Counter({"dirac_left": 2, "dirac_right": 3, "laplacian": 2})
     for p, want in zip(inputs, expected):
         calls.clear()
         assert list(predicate_report(p).items()) == list(want.items())
-        assert calls == {"dirac_left": 3, "dirac_right": 4, "laplacian": 2}
+        assert len({(op, frozen(numerators)) for op, numerators in calls}) == len(calls)
+        parts = ([], [])
+        for op, numerators in calls:
+            inside = frozen(sector_terms(numerators, first_sector(p)))
+            assert inside in (frozen(numerators), ()), (op, numerators)
+            parts[not inside].append(op)
+        for ops in parts:
+            assert not Counter(ops) - most, ops
+
+
+def test_predicate_report_reads_only_a_deciding_first_sector(monkeypatch):
+    """When the first term's sector decides every verdict, no call reads outside it.
+
+    Single-sector inputs (kernel cut-downs and random ones) have nothing
+    else; the multi-sector inputs are random ones whose first-sector part
+    alone is refuted by every chain.
+    """
+    rng = random.Random(31)
+    inputs = single_sector_kernel_inputs()
+    deciding = []
+    while len(deciding) < 8:
+        p = random_polynomial(rng, rng.randint(2, 4), rng.randint(4, 6), max_terms=8)
+        if p and not any(reference_report(in_sector(p, first_sector(p))).values()):
+            deciding.append(p)
+    for _ in range(6):
+        p = random_polynomial(rng, rng.randint(1, 5), rng.randint(0, 5), homogeneous=False)
+        if p:
+            inputs.append(in_sector(p, first_sector(p)))
+    inputs += deciding
+    assert all(sector_terms(p._nums, first_sector(p), inside=False) for p in deciding)
+    expected = [reference_report(p) for p in inputs]
+    calls = recorded_calls(monkeypatch)
+    for p, want in zip(inputs, expected):
+        calls.clear()
+        assert list(predicate_report(p).items()) == list(want.items())
+        sector = first_sector(p)
+        assert calls and len(calls) <= 7
+        assert all(not sector_terms(numerators, sector, inside=False) for _, numerators in calls)
+
+
+def test_each_primitive_maps_the_first_sector_into_itself():
+    """op on the first sector's terms is op(p) restricted to that sector, op on the rest is the rest."""
+    rng = random.Random(23)
+    assert _parity((3, 0, 2, 1)) == 0b1001
+    checked = 0
+    for m in range(1, 7):
+        for _ in range(4):
+            p = random_polynomial(rng, m, rng.randint(0, 5), homogeneous=False, max_terms=8)
+            if not p:
+                continue
+            sector = first_sector(p)
+            first, rest = operators._sector_split(p._nums)
+            assert first == sector_terms(p._nums, sector)
+            assert rest == sector_terms(p._nums, sector, inside=False)
+            for op in ("dirac_left", "dirac_right", "laplacian", "x_left", "x_right"):
+                image = _apply_integer(op, m, p._nums)
+                assert _apply_integer(op, m, first) == sector_terms(image, sector)
+                assert _apply_integer(op, m, rest) == sector_terms(image, sector, inside=False)
+                checked += bool(image)
+    assert checked > 50
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_dirac_squares_are_minus_the_laplacian(m):
+    """D_L^2 = D_R^2 = -Lap on the integer core, and on the Multivector-product references."""
+    rng = random.Random(40 + m)
+    inputs = [random_polynomial(rng, m, rng.randint(2, 5 if m <= 4 else 3), homogeneous=False)
+              for _ in range(4)]
+    inputs += [p for dim, _, p in many_blade_inputs() if dim == m]
+    for p in inputs:
+        lap = _apply_integer("laplacian", m, p._nums)
+        minus = {a: {mask: -x for mask, x in blades.items()} for a, blades in lap.items()}
+        assert reference_laplacian(p) == laplacian(p)
+        for op, reference in (("dirac_left", reference_dirac_left), ("dirac_right", reference_dirac_right)):
+            assert _apply_integer(op, m, _apply_integer(op, m, p._nums)) == minus
+            assert reference(reference(p)) == -laplacian(p)
+    assert any(_apply_integer("laplacian", m, p._nums) for p in inputs) or m == 1
 
 
 class TestConjugateSum:
