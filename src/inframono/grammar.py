@@ -6,8 +6,10 @@ per index; ``e{1,12}`` brace syntax covers indices beyond 9).  Terms are
 joined by ``+`` / ``-``; a sign may also precede a parenthesised group.
 Unsorted blade indices are accepted and normalised with the correct sign.
 Printing (``str`` on the value types) always produces grammar-conforming,
-canonically ordered text, so parse(print(p)) == p.  Parsing is one loop over
-the tokens, without recursion: a stack holds the sign in force in each open
+canonically ordered text, so parse(print(p)) == p.  The printer's own form
+for m <= 9 is read with one regex match and one findall; all other text goes
+to the token walker, which defines the grammar and raises every syntax error.
+It is one loop over the tokens: a stack holds the sign in force in each open
 group, so nesting depth is not limited.
 """
 
@@ -15,8 +17,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import _check_dim, _vector_signs
+from .algebra import _blade_table, _check_dim, _vector_signs
 from .polynomials import CliffordPolynomial, Monomial, _from_fractions
 
 _TOKEN_RE = re.compile(
@@ -29,6 +32,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<bad>.)",
     re.DOTALL,
 )
+_TERM = r"([0-9]+)(?:/([0-9]+))?((?:\*x[0-9]+(?:\^[0-9]+)?)*)((?:\*e[0-9]+)?)"
+_PRINTED_RE = re.compile(rf"\s*-?{_TERM}(?:\s*[-+]\s*{_TERM})*\s*")
+_PRINTED_TERM_RE = re.compile(rf"([-+]?)\s*{_TERM}")
+_POWER_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -129,18 +136,35 @@ def _parse_term(
             return i, tuple(exponents), mask, Fraction(sign * num, den)
 
 
-def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
-    """Parse grammar text into a polynomial over Cl(0, m).
+@lru_cache(maxsize=None)
+def _printed_blades(m: int) -> dict[str, int]:  # each printed blade text is sorted, so its sign is +1
+    return {text: mask for mask, text in enumerate(_blade_table(m)[1])}
 
-    Raises PolynomialSyntaxError (with position) for malformed text and
-    for variable or blade indices outside 1..m.
-    """
-    _check_dim(m)
+
+def _printed_terms(text: str, m: int) -> list[tuple[Monomial, int, Fraction]] | None:
+    """(monomial, blade, value) terms of text in the printer's form for m <= 9; None: use the walker."""
+    if m > 9 or _PRINTED_RE.fullmatch(text) is None:
+        return None
+    blades, terms = _printed_blades(m), []
+    try:
+        for sign, num, den, powers, blade in _PRINTED_TERM_RE.findall(text):
+            exponents = [0] * m
+            for j, e in _POWER_RE.findall(powers):
+                if not 1 <= (j := int(j)) <= m:  # the walker raises the error
+                    return None
+                exponents[j - 1] += int(e or 1)
+            terms.append((tuple(exponents), blades[blade], Fraction(int(sign + num), int(den or 1))))
+    except (KeyError, ValueError, ZeroDivisionError):  # unsorted or foreign blade, over-long literal, n/0
+        return None
+    return terms
+
+
+def _walk(text: str, m: int):
+    """Yield the (monomial, blade, value) terms of any grammar text, by one loop over its tokens."""
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
     count, length, signs = len(tokens), len(text), _vector_signs(m)[1]
-    acc: dict[Monomial, dict[int, Fraction]] = {}
     enclosing: list[int] = []
     sign, i = 1, 0
     while True:
@@ -156,13 +180,7 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
             sign, i = term_sign, i + 1
             continue
         i, mono, mask, value = _parse_term(tokens, i, length, m, signs, term_sign)
-        blades = acc.get(mono)
-        if blades is None:
-            acc[mono] = {mask: value}
-        elif mask in blades:
-            blades[mask] += value
-        else:
-            blades[mask] = value
+        yield mono, mask, value
         while i < count and tokens[i][1] == ")":
             if not enclosing:
                 raise PolynomialSyntaxError("unexpected trailing input ')'", tokens[i][2])
@@ -171,4 +189,18 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
         if i == count:
             if enclosing:
                 raise PolynomialSyntaxError("expected ')'", length)
-            return CliffordPolynomial._trusted(m, *_from_fractions(acc))
+            return
+
+
+def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
+    """Parse grammar text into a polynomial over Cl(0, m).
+
+    Raises PolynomialSyntaxError (with position) for malformed text and
+    for variable or blade indices outside 1..m.
+    """
+    _check_dim(m)
+    acc: dict[Monomial, dict[int, Fraction]] = {}
+    for mono, mask, value in _printed_terms(text, m) or _walk(text, m):
+        row = acc.setdefault(mono, {})
+        row[mask] = row[mask] + value if mask in row else value
+    return CliffordPolynomial._trusted(m, *_from_fractions(acc))

@@ -21,6 +21,11 @@ Field = Callable[[Point], "NumericMultivector"]
 _Kernel = Callable[[Field, Point, "NumericMultivector", float], list[float]]
 
 
+def _max_abs(values: Sequence[float]) -> float:
+    """Largest magnitude; NaN if any slot is NaN, which the builtin max can skip."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
 class NumericMultivector:
     """Dense element of Cl(0, m) as a list of plain floats, blade-indexed by mask."""
 
@@ -86,9 +91,7 @@ class NumericMultivector:
         return self._mul_blade(mask, left=False)
 
     def max_abs(self) -> float:
-        """Largest magnitude; NaN if any slot is NaN, which the builtin max can skip."""
-        magnitudes = [abs(v) for v in self.values]
-        return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+        return _max_abs(self.values)
 
     def is_finite(self) -> bool:
         return all(map(math.isfinite, self.values))
@@ -320,7 +323,7 @@ def _scan(kernel: _Kernel, f: Field, grid: Sequence[Point], h: float) -> GridSca
     for point in grid:
         try:
             center = f(list(map(float, point)))
-            residual = NumericMultivector(center.dim, kernel(f, point, center, h)).max_abs()
+            residual = _max_abs(kernel(f, point, center, h))
         except OverflowError as exc:
             raise OverflowError(f"{exc} at grid point {tuple(point)} with step {h}") from exc
         if not math.isfinite(residual):

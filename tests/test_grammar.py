@@ -8,9 +8,10 @@ from inframono import (
     CliffordPolynomial,
     Multivector,
     PolynomialSyntaxError,
+    grammar,
     parse_polynomial,
 )
-from helpers import LONG_LITERALS, random_polynomial
+from helpers import LONG_DIGITS, LONG_LITERALS, random_polynomial, reference_parse
 
 
 class TestParsing:
@@ -194,7 +195,7 @@ class TestRoundTrip:
     def test_random_round_trip(self):
         rng = random.Random(42)
         for _ in range(500):
-            m = rng.randint(1, 4)
+            m = rng.randint(1, 9)
             p = random_polynomial(rng, m, rng.randint(0, 5), homogeneous=False, max_terms=6)
             assert parse_polynomial(str(p), m) == p
 
@@ -203,3 +204,144 @@ class TestRoundTrip:
         for _ in range(20):
             p = random_polynomial(rng, 10, rng.randint(0, 2), homogeneous=False, max_terms=4)
             assert parse_polynomial(str(p), 10) == p
+
+
+def _outcome(text: str, m: int, parse=parse_polynomial):
+    try:
+        return "ok", parse(text, m)
+    except PolynomialSyntaxError as err:
+        return "error", str(err), err.position
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """The texts handed to the token walker's tokenizer during the test."""
+    calls = []
+    tokenize = grammar._tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(grammar, "_tokenize", counting)
+    return calls
+
+
+def _walker_only(monkeypatch):
+    """parse_polynomial with the printed path switched off."""
+    monkeypatch.setattr(grammar, "_printed_terms", lambda text, m: None)
+    return parse_polynomial
+
+
+# Texts the printed path must hand to the token walker: (text, m).
+WALKER_TEXTS = [
+    ("-(1*x1 + 2*x2)", 2),
+    ("x1*3", 2),
+    ("1*e12*x1", 2),
+    ("x1", 2),
+    ("+3*x1", 2),
+    ("3 * x1", 2),
+    ("1*e{1,2}", 2),
+    ("1*e21", 2),
+    ("1*e", 2),
+    ("3", 10),
+    ("1*x1 + 2*x10", 10),
+    ("1*x1^2*e{1,10}", 12),
+]
+
+
+class TestPrintedPath:
+    """Which path a text takes: the printer's own form for m <= 9 never reaches the tokenizer."""
+
+    def test_printer_output_skips_the_walker(self, tokenize_calls):
+        rng = random.Random(44)
+        for m in range(1, 10):
+            samples = [CliffordPolynomial.zero(m), CliffordPolynomial.constant(m, Fraction(-7, 3))]
+            samples += [random_polynomial(rng, m, rng.randint(0, 4), homogeneous=False) for _ in range(30)]
+            for p in samples:
+                assert parse_polynomial(str(p), m) == p
+        assert tokenize_calls == []
+
+    @pytest.mark.parametrize("text, m", WALKER_TEXTS)
+    def test_other_forms_reach_the_walker(self, tokenize_calls, text, m):
+        assert parse_polynomial(text, m) == reference_parse(text, m)
+        assert tokenize_calls == [text]
+
+    def test_wide_algebra_printer_output_reaches_the_walker(self, tokenize_calls):
+        p = random_polynomial(random.Random(45), 11, 2, homogeneous=False)
+        assert parse_polynomial(str(p), 11) == p
+        assert tokenize_calls == [str(p)]
+
+    def test_long_printed_text_takes_the_printed_path(self, tokenize_calls, monkeypatch):
+        # 1820 monomials of degree <= 12 in 4 variables, 16 blades each: 29 120 terms.
+        rng = random.Random(46)
+        terms = {}
+        for a in range(13):
+            for b in range(13 - a):
+                for c in range(13 - a - b):
+                    for d in range(13 - a - b - c):
+                        terms[(a, b, c, d)] = Multivector(
+                            4, {mask: Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9))
+                                for mask in range(16)})
+        p = CliffordPolynomial(4, terms)
+        text = str(p)
+        assert text.count(" + ") + text.count(" - ") + 1 >= 20000
+        got = parse_polynomial(text, 4)
+        assert got == p
+        assert tokenize_calls == []
+        # Printed terms need a sign between them, so a match failing at the end backtracks in linear time.
+        bad = len(text) + 1
+        assert _outcome(text + " @", 4) == ("error", f"unexpected character '@' (at position {bad})", bad)
+        assert _walker_only(monkeypatch)(text, 4) == got
+
+
+def _edits(rng: random.Random, text: str, alphabet: str) -> list[str]:
+    """One deletion, insertion and replacement of a character of text, at random places."""
+    i, j, k = (rng.randrange(len(text) + 1) for _ in range(3))
+    return [text[:i] + text[i + 1:], text[:j] + rng.choice(alphabet) + text[j:],
+            text[:k] + rng.choice(alphabet) + text[k + 1:]]
+
+
+# Canonical-shaped terms that the printer never writes: (text, m).
+NEAR_PRINTED = [
+    ("1*x3", 2), ("1*x0", 2), ("2*x1 - 1/2*x2^3*x3*e1", 2), ("1*x1*x1^2 - 1*x2^0", 2),
+    ("1*e21", 2), ("1*e11", 2), ("1*e3", 2), ("3*x1*e21 + 1*e12", 2), ("-1*e{2,1}", 2),
+    ("3/0*x1", 2), ("1 + 3/0*x1", 2), ("-0*x1 + 0/5", 2), ("007/014*x1^01", 2),
+    ("\u0661*x1", 2), ("1*x\u0661", 2), ("1*x1^\u0662", 2), ("1*e\u0661", 2), ("1/\u0663", 2),
+    ("1*e1\u0662", 2), ("\u00b2*x1", 2), ("1*x1\t-\n2*x2 ", 2), (" - 1*x1", 2), ("1*x1 --2", 2),
+    ("1*x10", 9), ("1*e19 - 1*x9^2*e123456789", 9), ("1*e1234567891", 9), ("1*x1*e12", 1),
+]
+
+
+class TestNearPrinted:
+    """The printed path and the walker agree with the reference on text near the printer's form."""
+
+    @pytest.mark.parametrize("text, m", NEAR_PRINTED)
+    def test_near_printed_terms_match_reference(self, text, m):
+        assert _outcome(text, m) == _outcome(text, m, reference_parse)
+
+    def test_single_character_edits_match_reference(self):
+        rng = random.Random(47)
+        # Not '\u00b2': the reference parser's int() rejects it in braces.
+        alphabet = "0123456789x e+-*/^(){},@\t\u0661"
+        errors = 0
+        for m in range(1, 13):
+            for _ in range(25):
+                text = str(random_polynomial(rng, m, rng.randint(0, 3), homogeneous=False, max_terms=3))
+                for edited in _edits(rng, text, alphabet):
+                    got = _outcome(edited, m)
+                    assert got == _outcome(edited, m, reference_parse), edited
+                    errors += got[0] == "error"
+        assert errors >= 200
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit"
+    )
+    @pytest.mark.parametrize("text, position", [
+        (f"{LONG_DIGITS}*x1", 0), (f"1*x1^{LONG_DIGITS}", 5), (f"1*x{LONG_DIGITS}", 2),
+        (f"1/{LONG_DIGITS}*x1", 2), (f"2*x1 - 1*x2^{LONG_DIGITS}*e12", 12),
+    ])
+    def test_over_long_printed_literal_matches_walker(self, monkeypatch, text, position):
+        expected = ("error", f"integer literal too long (at position {position})", position)
+        assert _outcome(text, 2) == expected
+        assert _outcome(text, 2, _walker_only(monkeypatch)) == expected
