@@ -24,15 +24,15 @@ min(|v|, m - |v|).  Only each orbit's representative has its S and T
 blocks built and S o T inverted, by fraction-free integer elimination:
 every sector is solved in its representative's frame.
 
-Every operator has an integer matrix in the (monomial, blade) basis.
-`sector_operator` builds these matrices once per (operator, m, degree)
-as sparse integer columns with `polynomials._apply_integer`, the integer
-core the polynomial operators run as well.  A polynomial stores integer
-numerators over one denominator, so a splitting step scatters them into
-sector-local integer coordinates, solves there, and gathers the two
-parts back into numerators.  The complete decomposition
-P(k) = sum_s x^s I(k-2s) x^s is that step applied again to each
-quotient.
+Every operator has an integer matrix in the (monomial, blade) basis,
+built per sector as sparse integer columns by `_sector_blocks` with
+`polynomials._apply_integer`, the integer core the polynomial operators
+run as well: for the representatives once per solver, and for all 2^m
+sectors, cached, by `sector_operator` for `kernel_basis`.  A split
+scatters a polynomial's integer numerators straight into each sector's
+representative frame, solves there, and gathers the two parts back into
+numerators.  The complete decomposition P(k) = sum_s x^s I(k-2s) x^s is
+that step applied again to each quotient.
 """
 
 from __future__ import annotations
@@ -88,30 +88,34 @@ def _monomial_table(m: int, k: int) -> tuple[dict[Monomial, int], tuple[tuple[Mo
     return {a: i for i, a in enumerate(monos)}, tuple((a, _parity(a)) for a in monos)
 
 
-# Sector-local integer coordinates: entry v lists the numerators of sector v.
+# Sector-local integer coordinates: entry v lists sector v's numerators in its representative's frame.
 SectorVector = list[list[int]]
 
 
 def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
-    """Numerators of a degree-k p's coordinates by sector, and their common denominator."""
+    """Numerators of a degree-k p's coordinates by sector, P_k^-1 of each, and their common denominator."""
     index, table = _monomial_table(p.dim, k)
-    vec = [[0] * len(table) for _ in range(1 << p.dim)]
+    maps = _conjugation(p.dim, k)
+    vec = [[0] * len(table) for _ in maps]
     for mono, blades in p._nums.items():
         i = index[mono]
+        par = table[i][1]
         for mask, x in blades.items():
-            vec[table[i][1] ^ mask][i] = x
+            src, signs = maps[par ^ mask]
+            vec[par ^ mask][src[i]] = x if signs[i] > 0 else -x
     return vec, p._den
 
 
 def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolynomial:
-    """The polynomial with coordinates vec / den."""
+    """The polynomial with coordinates P_k vec / den; each entry of vec is released once read."""
     table = _monomial_table(m, k)[1]
     nums: dict[Monomial, dict[int, int]] = {}
-    for v, values in enumerate(vec):
+    for v, (src, signs) in enumerate(_conjugation(m, k)):
+        values, vec[v] = vec[v], None
         if any(values):
-            for (mono, par), x in zip(table, values):
-                if x:
-                    nums.setdefault(mono, {})[v ^ par] = x
+            for (mono, par), i, sign in zip(table, src, signs):
+                if x := values[i]:
+                    nums.setdefault(mono, {})[v ^ par] = x if sign > 0 else -x
     return CliffordPolynomial._trusted(m, den, nums)
 
 
@@ -345,23 +349,26 @@ def _composition(sand, wrap) -> list[list[list[int]]]:
     return out
 
 
-def _conjugation(m: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
+@lru_cache(maxsize=None)
+def _conjugation(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every sector v of P(k) as the image of its orbit representative 2^j - 1, j = min(|v|, m - |v|).
 
-    Entry v is (src, signs), the signed permutation P with
-    (P x)_i = signs[i] x[src[i]], or None where P is the identity (v = 2^j - 1).
-    When |v| > j, right multiplication by the pseudoscalar e_N last carries
-    sector u = v xor (2^m - 1), of weight j, onto v: it keeps each
-    monomial and maps x^a e_A to the sign of e_A e_N times x^a e_(A xor N).
-    The coordinate permutation sigma sends axes 0..j-1 onto u's bits and
-    the others onto the rest, both in ascending order.  It maps x^a e_A to
-    x^sigma(a) times e_A with sigma applied to each factor, which is
-    +-1 times a basis element once the factors are sorted.  So v and
-    v xor (2^m - 1) share src, and each sign depends only on the
-    element's parity.
+    Entry v is (src, signs), the signed permutation P_k with
+    (P_k x)_i = signs[i] x[src[i]], the identity for a representative.
+    The coordinate permutation sigma sends axes 0..j-1 onto the bits of
+    u, v or v xor (2^m - 1) of weight j, and the others onto the rest,
+    both in ascending order; it maps x^a e_A to x^sigma(a) times e_A
+    with sigma applied to each factor, +-1 times a basis element once
+    sorted.  When |v| > j, right multiplication by the pseudoscalar e_N
+    then maps x^a e_A to the sign of e_A e_N times x^a e_(A xor N).  It
+    passes D_R and x on the right with the sign (-1)^(m-1), so there the
+    signs carry (-1)^((m-1) floor(k/2)) too, and S_v = P_(k-2) S_r P_k^-1 and
+    T_v = P_k T_r P_(k-2)^-1 in every sector.  v and v xor (2^m - 1)
+    share src, and each sign depends only on the element's parity.
     """
     full = (1 << m) - 1
     index, table = _monomial_table(m, k)
+    flip = (-1) ** ((m - 1) * (k // 2))
     maps = [None] * (full + 1)
     for u in range(full + 1):
         j = bin(u).count("1")
@@ -372,48 +379,27 @@ def _conjugation(m: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
         # sigma keeps the order within u's bits and within the rest, so sorting the renamed
         # blade u xor par swaps each pair of a bit in u above a bit outside it
         sign = {par: blade_sign(u & ~par, par & ~u) for par in {par for _, par in table}}
-        if u != (1 << j) - 1:
-            maps[u] = (src, tuple(sign[par] for _, par in table))
+        maps[u] = (src, tuple(sign[par] for _, par in table))
         if 2 * j < m:
-            pseudo = {par: x * blade_sign(u ^ par, full) for par, x in sign.items()}
+            pseudo = {par: flip * x * blade_sign(u ^ par, full) for par, x in sign.items()}
             maps[u ^ full] = (src, tuple(pseudo[par] for _, par in table))
-    return maps
-
-
-def _unpermute(x: list[int], conj) -> list[int]:
-    """P^-1 x for the signed permutation P of `_conjugation`: entry src[i] is signs[i] x[i]."""
-    if conj is None:
-        return x
-    out = [0] * len(x)
-    for i, sign, value in zip(*conj, x):
-        out[i] = sign * value
-    return out
-
-
-def _permute(x: list[int], conj, eps: int = 1) -> list[int]:
-    """eps P x for the signed permutation P of `_conjugation`; eps is 1 wherever P is the identity."""
-    if conj is None:
-        return x
-    src, signs = conj
-    return [eps * sign * x[i] for i, sign in zip(src, signs)]
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)
 def _composition_solver(m: int, k: int) -> tuple:
-    """What a split of P(k) reads, for orbit representatives only: (den, inverses, sand, wrap, sectors).
+    """What a split of P(k) reads, for orbit representatives only: (den, inverses, sand, wrap, orbit).
 
     Entry j of the next three values belongs to the representative
     r = 2^j - 1, j <= m/2: den times the inverse of its S o T block on
     P(k-2), by `linalg.integer_inverse`, den being the lcm of their
-    reduced denominators, and its `sector_operator` blocks S_r of the
-    sandwich on P(k) and T_r of wrap_x on P(k-2).  Entry v of sectors is
-    (j, eps, P_k, P_(k-2)), the last two from `_conjugation`:
-    S_v = eps P_(k-2) S_r P_k^-1 and T_v = eps P_k T_r P_(k-2)^-1, eps
-    being 1 when |v| <= m/2 and (-1)^(m-1) otherwise.  Both sides of each
-    j <-> m - j pair cost the same to invert, within a few percent from
-    (3, 6) to (6, 6), so the side with j = 0 is taken.  Singularity
-    would contradict the direct-sum theorem and is treated as an
-    internal error.
+    reduced denominators, and its blocks S_r of the sandwich on P(k) and
+    T_r of wrap_x on P(k-2).  Entry v of orbit is sector v's j,
+    min(|v|, m - |v|); through `_conjugation`'s maps, sector v's system
+    is orbit j's.  Both sides of each j <-> m - j pair cost the same to
+    invert, within a few percent from (3, 6) to (6, 6), so the side with
+    j = 0 is taken.  Singularity would contradict the direct-sum theorem
+    and is treated as an internal error.
     """
     reps = [rep for rep, _ in _orbits(m)]
     sand, wrap = _sector_blocks("sandwich", m, k, reps), _sector_blocks("wrap_x", m, k - 2, reps)
@@ -428,10 +414,8 @@ def _composition_solver(m: int, k: int) -> tuple:
             ) from exc
     den = lcm(*(d for d, _ in inverses))
     scaled = tuple(tuple(tuple(x * (den // d) for x in row) for row in inverse) for d, inverse in inverses)
-    popcounts = [bin(v).count("1") for v in range(1 << m)]
-    sectors = tuple((min(w, m - w), 1 if 2 * w <= m else (-1) ** (m - 1), high, low)
-                    for w, high, low in zip(popcounts, _conjugation(m, k), _conjugation(m, k - 2)))
-    return den, scaled, sand, wrap, sectors
+    orbit = tuple(min(w, m - w) for w in (bin(v).count("1") for v in range(1 << m)))
+    return den, scaled, sand, wrap, orbit
 
 
 def composition_rank(m: int, k: int) -> int:
@@ -516,18 +500,18 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     """Split a homogeneous p as infra_part + x quotient x, exactly.
 
     Degrees 0 and 1 are wholly inframonogenic and return a zero quotient.
-    Above that, p's integer coordinates c are split per sector as
-    den c = infra + T quotient, with quotient = (S T)^-1 S den c, in the
-    frame of the sector's orbit representative (`_composition_solver`):
-    infra = P_k infra_r, infra_r = den c_r - T_r q_r, and quotient =
-    eps P_(k-2) q_r, with c_r = P_k^-1 c and q_r = den (S_r T_r)^-1 S_r c_r.
-    Two flags test the solve on those integers: S_r infra_r = 0, and
-    T_r^t W infra_r = 0, i.e. the Fischer pairing of infra with x b x for
-    every basis element b of P(k-2), W (the a! weights) being invariant
-    under P_k.  The reconstruction flag tests what is returned: the
-    coordinates of the returned infra_part plus T times those of the
-    returned quotient must equal p's, compared exactly across the three
-    denominators, so a wrong conversion back to polynomials makes it False.
+    Above that, p's integer coordinates c are scattered into each
+    sector's orbit-representative frame (`_conjugation`) and split there
+    as den c = infra + T_r q, with q = den (S_r T_r)^-1 S_r c from
+    `_composition_solver`; infra and q are gathered back into
+    polynomials through the same maps.  Two flags test the solve on
+    those integers: S_r infra = 0, and T_r^t W infra = 0, i.e. the
+    Fischer pairing of infra with x b x for every basis element b of
+    P(k-2), W (the a! weights) being invariant under the maps.  The
+    reconstruction flag tests what is returned: the coordinates of the
+    returned infra_part plus T times those of the returned quotient must
+    equal p's, compared exactly across the three denominators, so a
+    wrong conversion back to polynomials makes it False.
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
@@ -535,19 +519,19 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     if k is None or k < 2:
         zero = CliffordPolynomial.zero(m)
         return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
+    solver_den, inverses, sand, wrap, orbit = _composition_solver(m, k)
     vec, den = _sector_coords(p, k)
-    solver_den, inverses, sand, wrap, sectors = _composition_solver(m, k)
     n_low = monomial_count(m, k - 2)
     weights = _weights(m, k)
     infra: SectorVector = []
     quotient: SectorVector = []
     sandwich_zero = orthogonal = True
-    for c, (j, eps, high, low) in zip(vec, sectors):
+    for c, j in zip(vec, orbit):
         if not any(c):
             infra.append(c)
             quotient.append([0] * n_low)
             continue
-        s_cols, t_cols, c = sand[j], wrap[j], _unpermute(c, high)
+        s_cols, t_cols = sand[j], wrap[j]
         rhs = _apply(s_cols, c, n_low)
         q = linalg.mat_vec(inverses[j], rhs) if any(rhs) else [0] * n_low
         inf = [solver_den * x - y for x, y in zip(c, _apply(t_cols, q, len(c)))]
@@ -555,19 +539,18 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
         if orthogonal:
             weighted = [w * x for w, x in zip(weights, inf)]
             orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
-        infra.append(_permute(inf, high))
-        quotient.append(_permute(q, low, eps))
+        infra.append(inf)
+        quotient.append(q)
     infra_part = _from_sectors(m, k, infra, den * solver_den)
     quotient_part = _from_sectors(m, k - 2, quotient, den * solver_den)
-    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den,
-    # with T_v b = eps P_k T_r P_(k-2)^-1 b
+    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den
     got_infra, di = _sector_coords(infra_part, k)
     got_quotient, dq = _sector_coords(quotient_part, k - 2)
     reconstruction = all(
         den * (dq * x + di * y) == di * dq * z
-        for a, b, c, (j, eps, high, low) in zip(got_infra, got_quotient, vec, sectors)
+        for a, b, c, j in zip(got_infra, got_quotient, vec, orbit)
         if any(a) or any(b) or any(c)
-        for x, y, z in zip(a, _permute(_apply(wrap[j], _unpermute(b, low), len(c)), high, eps), c)
+        for x, y, z in zip(a, _apply(wrap[j], b, len(c)), c)
     )
     checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
     return DecompositionResult(p, infra_part, quotient_part, checks)

@@ -246,6 +246,14 @@ def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _reference_int(text: str, pos: int) -> int:
+    """int(text); a literal past Python's int-string limit is a syntax error at its token, pos."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolynomialSyntaxError("integer literal too long", pos) from None
+
+
 class _ReferenceParser:
     """A recursive token cursor and a term-by-term polynomial sum, sharing no code with grammar.parse_polynomial."""
 
@@ -274,28 +282,30 @@ class _ReferenceParser:
 
     def _parse_rational(self, first: tuple[str, str, int]) -> tuple[int, int]:
         """An integer or ``n/d`` literal as (numerator, denominator)."""
+        num = _reference_int(first[1], first[2])
         if not self._accept_op("/"):
-            return int(first[1]), 1
+            return num, 1
         tok = self._next()
         if tok[0] != "int":
             raise PolynomialSyntaxError("expected an integer denominator", tok[2])
-        if int(tok[1]) == 0:
+        den = _reference_int(tok[1], tok[2])
+        if den == 0:
             raise PolynomialSyntaxError("zero denominator", tok[2])
-        return int(first[1]), int(tok[1])
+        return num, den
 
     def _blade_indices(self, tok: tuple[str, str, int]) -> list[int]:
         kind, text, pos = tok
         if kind == "blade":
-            return [int(ch) for ch in text[1:]]
+            return [_reference_int(ch, pos) for ch in text[1:]]
         body = text[2:-1].strip()
         if not body:
             return []
         indices = []
         for piece in body.split(","):
             piece = piece.strip()
-            if not piece.isdigit():
+            if not piece.isdecimal():
                 raise PolynomialSyntaxError(f"bad blade index {piece!r}", pos)
-            indices.append(int(piece))
+            indices.append(_reference_int(piece, pos))
         return indices
 
     def expect_end(self) -> None:
@@ -347,7 +357,7 @@ class _ReferenceParser:
                 coeff *= Fraction(*self._parse_rational(tok))
             elif kind == "var":
                 self._i += 1
-                j = int(text[1:])
+                j = _reference_int(text[1:], pos)
                 if not 1 <= j <= self._m:
                     raise PolynomialSyntaxError(
                         f"variable index {j} out of range for m={self._m}", pos
@@ -357,7 +367,7 @@ class _ReferenceParser:
                     power_tok = self._next()
                     if power_tok[0] != "int":
                         raise PolynomialSyntaxError("expected an integer exponent", power_tok[2])
-                    power = int(power_tok[1])
+                    power = _reference_int(power_tok[1], power_tok[2])
                 exponents[j - 1] += power
             elif kind in ("blade", "blade_braced"):
                 self._i += 1

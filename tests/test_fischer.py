@@ -485,18 +485,19 @@ class TestOrbitSolver:
         [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)] + [(5, 4), (5, 5), (6, 2), (6, 3), (6, 4)],
     )
     def test_every_sector_equals_direct_elimination(self, m, k):
-        den, reps, sand, wrap, sectors = fischer._composition_solver(m, k)
+        den, reps, sand, wrap, orbit = fischer._composition_solver(m, k)
         all_sand, all_wrap = fischer.sector_operator("sandwich", m, k), fischer.sector_operator("wrap_x", m, k - 2)
         direct = [linalg.invert(block) for block in fischer._composition(all_sand, all_wrap)]
         assert len(reps) == len(sand) == len(wrap) == m // 2 + 1
-        assert len(sectors) == len(direct) == 1 << m
+        assert len(orbit) == len(direct) == 1 << m
         n = monomial_count(m, k - 2)
-        for v, ((j, eps, _, low), inverse) in enumerate(zip(sectors, direct)):
+        for v, (j, low, inverse) in enumerate(zip(orbit, fischer._conjugation(m, k - 2), direct)):
             # sector v's inverse, expanded from its orbit's: entry (i, l) is s_i s_l R[src_i][src_l]
             weight = bin(v).count("1")
-            assert (j, eps) == (min(weight, m - weight), (-1) ** (m - 1) if 2 * weight > m else 1)
-            assert (low is None) == (v == (1 << j) - 1)
-            source = list(zip(*low)) if low else [(i, 1) for i in range(n)]
+            assert j == min(weight, m - weight)
+            source = list(zip(*low))
+            if v == (1 << j) - 1:
+                assert source == [(i, 1) for i in range(n)]
             rep = reps[j]
             matrix = [[s * t * rep[i][l] for l, t in source] for i, s in source]
             assert [[Fraction(x, den) for x in row] for row in matrix] == inverse
@@ -547,17 +548,24 @@ class TestOrbitSolver:
         assert result.infra_part + wrap_x(result.quotient) == p
 
     def test_cold_solver_holds_little_memory(self):
-        """A cold (8, 4) solver holds floor(m/2)+1 blocks per operator, not 2^m: 31 MiB held before, 2.2 MiB now."""
+        """A cold (8, 4) split holds floor(m/2)+1 blocks per operator, not 2^m, and the maps of its two degrees.
+
+        31 MiB were held while all 2^m blocks were built; now 2.2 MiB, 0.8 MiB of them the solver.
+        """
         fischer._composition_solver.cache_clear()
+        fischer._conjugation.cache_clear()
         fischer.sector_operator.cache_clear()
         tracemalloc.start()
         try:
             solver = fischer._composition_solver(8, 4)
+            maps = fischer._conjugation(8, 4), fischer._conjugation(8, 2)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
             fischer._composition_solver.cache_clear()
+            fischer._conjugation.cache_clear()
         assert len(solver[1]) == len(solver[2]) == len(solver[3]) == 5
+        assert len(maps[0]) == len(maps[1]) == len(solver[4]) == 256
         assert held < 8 * 2**20
 
 

@@ -322,8 +322,7 @@ class TestNearPrinted:
 
     def test_single_character_edits_match_reference(self):
         rng = random.Random(47)
-        # Not '\u00b2': the reference parser's int() rejects it in braces.
-        alphabet = "0123456789x e+-*/^(){},@\t\u0661"
+        alphabet = "0123456789x e+-*/^(){},@\t\u0661\u00b2"
         errors = 0
         for m in range(1, 13):
             for _ in range(25):
@@ -345,3 +344,4 @@ class TestNearPrinted:
         expected = ("error", f"integer literal too long (at position {position})", position)
         assert _outcome(text, 2) == expected
         assert _outcome(text, 2, _walker_only(monkeypatch)) == expected
+        assert _outcome(text, 2, reference_parse) == expected

@@ -13,6 +13,7 @@ from inframono import (
     fischer_tower,
     from_coords,
     monomial_count,
+    poly_basis,
     wrap_x,
 )
 from inframono import fischer
@@ -112,11 +113,18 @@ def test_composition_equals_dense_product(m, k):
 
 
 def test_decompose_and_tower_build_no_all_sector_blocks():
-    """A split reads the representatives' blocks its solver holds, never `sector_operator`'s 2^m blocks."""
+    """A split reads the representatives' blocks its solver holds, never `sector_operator`'s 2^m blocks.
+
+    A tower from degree k whose quotients are all nonzero builds one `_conjugation` map per degree
+    it splits or returns, k//2 + 1.
+    """
     sector_operator.cache_clear()
     fischer_decompose(CliffordPolynomial.monomial(3, (2, 1, 1), 1))
     fischer_tower(CliffordPolynomial.monomial(4, (3, 1, 1, 1), 1))
+    fischer._conjugation.cache_clear()
+    fischer_tower(CliffordPolynomial.monomial(4, (6, 0, 0, 0), 1))
     assert sector_operator.cache_info().currsize == 0
+    assert fischer._conjugation.cache_info().misses == 6 // 2 + 1
 
 
 def _perturbed_solver(monkeypatch, m, k, j=0):
@@ -194,10 +202,10 @@ def test_every_sector_block_is_a_signed_conjugate_of_its_representative(m, k):
     """O_v[i][l] = eps s_i s_l O_rep[src_i][src_l], entry by entry, for every sector v.
 
     (src, s) is `_conjugation`'s map at the output degree for i and at the
-    input degree for l, the identity in a representative sector.  eps is
-    1 when |v| <= m/2; on the pseudoscalar half it is (-1)^(m-1) for the
-    sandwich, wrap_x and the right Dirac operator, and 1 for the left
-    Dirac operator and the Laplacian.
+    input degree for l, the identity with all signs +1 in a representative
+    sector.  eps is 1 when |v| <= m/2.  On the pseudoscalar half the maps
+    carry (-1)^((m-1) floor(k/2)), so eps is (-1)^((m-1)(odd + k//2 - k_out//2)):
+    1 for the sandwich and wrap_x, which change the degree by 2 and have odd set.
     """
     for op, odd in PSEUDOSCALAR_ODD.items():
         k_out = k + REFERENCE_OPERATORS[op][1]
@@ -209,11 +217,42 @@ def test_every_sector_block_is_a_signed_conjugate_of_its_representative(m, k):
         for v, block in enumerate(blocks):
             weight = bin(v).count("1")
             j = min(weight, m - weight)
-            assert (maps_in[v] is None) == (maps_out[v] is None) == (v == (1 << j) - 1)
-            eps = (-1) ** (m - 1) if odd and 2 * weight > m else 1
-            rows = list(zip(*maps_out[v])) if maps_out[v] else [(i, 1) for i in range(n_out)]
-            cols = list(zip(*maps_in[v])) if maps_in[v] else [(l, 1) for l in range(n_in)]
+            eps = (-1) ** ((m - 1) * (odd + k // 2 - k_out // 2)) if 2 * weight > m else 1
+            assert eps == 1 or op not in ("sandwich", "wrap_x")
+            rows, cols = list(zip(*maps_out[v])), list(zip(*maps_in[v]))
+            if v == (1 << j) - 1:
+                assert rows == [(i, 1) for i in range(n_out)] and cols == [(l, 1) for l in range(n_in)]
             assert sorted(i for i, _ in rows) == list(range(n_out))
             assert sorted(l for l, _ in cols) == list(range(n_in))
             rep = blocks[(1 << j) - 1]
             assert block == [[eps * s * t * rep[i][l] for l, t in cols] for i, s in rows], (op, v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sector_scatter_and_gather_invert_each_other(m):
+    rng = random.Random(m)
+    for k in range(6):
+        for _ in range(4):
+            p = random_polynomial(rng, m, k)
+            assert fischer._from_sectors(m, k, *fischer._sector_coords(p, k)) == p
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sector_frames_are_the_inverse_maps_of_plain_coordinates(m):
+    """Frame vector v is P_k^-1 of sector v's coordinates, read from `coords` in `poly_basis` order."""
+    rng = random.Random(100 + m)
+    for k in range(6):
+        p = random_polynomial(rng, m, k)
+        plain = [[Fraction(0)] * monomial_count(m, k) for _ in range(1 << m)]
+        monos: list = []
+        for (mono, mask), x in zip(poly_basis(m, k), coords(p, k)):
+            if mono not in monos:
+                monos.append(mono)
+            parity = sum(1 << j for j, e in enumerate(mono) if e % 2)
+            plain[parity ^ mask][monos.index(mono)] = x
+        vec, den = fischer._sector_coords(p, k)
+        for v, (src, signs) in enumerate(fischer._conjugation(m, k)):
+            expected = [Fraction(0)] * len(src)
+            for i, s, x in zip(src, signs, plain[v]):
+                expected[i] = s * x
+            assert [Fraction(x, den) for x in vec[v]] == expected, (k, v)
