@@ -25,14 +25,15 @@ blocks built and S o T inverted, by fraction-free integer elimination:
 every sector is solved in its representative's frame.
 
 Every operator has an integer matrix in the (monomial, blade) basis,
-built per sector as sparse integer columns by `_sector_blocks` with
-`polynomials._apply_integer`, the integer core the polynomial operators
-run as well: for the representatives once per solver, and for all 2^m
-sectors, cached, by `sector_operator` for `kernel_basis`.  A split
-scatters a polynomial's integer numerators straight into each sector's
+built by `sector_operator` with `polynomials._apply_integer`, the
+integer core the polynomial operators run as well, as sparse integer
+columns for the orbit representatives only, cached.  A split scatters a
+polynomial's integer numerators straight into each sector's
 representative frame, solves there, and gathers the two parts back into
-numerators.  The complete decomposition P(k) = sum_s x^s I(k-2s) x^s is
-that step applied again to each quotient.
+numerators; `kernel_basis` builds each sector's dense block from its
+representative's columns through the same maps.  The complete
+decomposition P(k) = sum_s x^s I(k-2s) x^s is that step applied again
+to each quotient.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from . import linalg
 from .algebra import _as_fraction, blade_sign, blades_in_order
@@ -102,7 +103,7 @@ def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
         par = table[i][1]
         for mask, x in blades.items():
             src, signs = maps[par ^ mask]
-            vec[par ^ mask][src[i]] = x if signs[i] > 0 else -x
+            vec[par ^ mask][src[i]] = x if signs[par] > 0 else -x
     return vec, p._den
 
 
@@ -113,9 +114,9 @@ def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolyno
     for v, (src, signs) in enumerate(_conjugation(m, k)):
         values, vec[v] = vec[v], None
         if any(values):
-            for (mono, par), i, sign in zip(table, src, signs):
+            for (mono, par), i in zip(table, src):
                 if x := values[i]:
-                    nums.setdefault(mono, {})[v ^ par] = x if sign > 0 else -x
+                    nums.setdefault(mono, {})[v ^ par] = x if signs[par] > 0 else -x
     return CliffordPolynomial._trusted(m, den, nums)
 
 
@@ -265,38 +266,35 @@ SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 @lru_cache(maxsize=None, typed=True)
 def sector_operator(op: str, m: int, k_in: int) -> tuple[SectorColumns, ...]:
-    """Sparse integer matrix of an operator on P(k_in), one block per sector.
+    """Sparse integer matrix of an operator on P(k_in), one block per sector orbit.
 
     ``op`` is one of dirac_left, dirac_right, x_left, x_right, laplacian,
-    sandwich or wrap_x.  Entry v of the result is the block of sector v:
-    column i is the image of the sector's basis element on the i-th
-    degree-k_in monomial, as (monomial index in degree k_in + shift, value)
-    pairs with nonzero integer values, ascending by index.  Columns are
-    empty when the output degree is negative.  Every primitive keeps
-    sectors, so one run of op's chain on the sum over v of
-    x^a e_(v xor parity(a)) gives column a of all 2^m blocks.
+    sandwich or wrap_x.  Entry j of the result is the block of the orbit
+    representative 2^j - 1, j = 0..floor(m/2); `_conjugation` carries it
+    onto every other sector of the orbit.  Column i is the image of the
+    sector's basis element on the i-th degree-k_in monomial, as (monomial
+    index in degree k_in + shift, value) pairs with nonzero integer
+    values, ascending by index.  Columns are empty when the output degree
+    is negative.  Every primitive keeps sectors, so one run of op's chain
+    on the sum over j of x^a e_((2^j - 1) xor parity(a)) gives column a
+    of every block; an output term's sector 2^j - 1 has bit length j.
     """
-    return _sector_blocks(op, m, k_in, range(1 << m))
-
-
-def _sector_blocks(op: str, m: int, k_in: int, sectors) -> tuple[SectorColumns, ...]:
-    """`sector_operator`'s blocks of the listed sectors only, in their order, uncached."""
     if op not in _CHAINS:
         raise ValueError(f"unknown operator {op!r}")
     _check_degree(k_in)
     k_out = k_in + _DEGREE_SHIFT[op]
     index, table = _monomial_table(m, k_out) if k_out >= 0 else ({}, ())
-    position = {v: t for t, v in enumerate(sectors)}
-    blocks = [[] for _ in position]
+    reps = [(1 << j) - 1 for j in range(m // 2 + 1)]
+    blocks = [[] for _ in reps]
     for a, par in _monomial_table(m, k_in)[1]:
-        numerators = {a: {v ^ par: 1 for v in position}}
+        numerators = {a: {rep ^ par: 1 for rep in reps}}
         for step in _CHAINS[op]:
             numerators = _apply_integer(step, m, numerators)
-        columns = [[] for _ in position]
+        columns = [[] for _ in reps]
         for b, blades in numerators.items():
             r = index[b]
             for mask, x in blades.items():
-                columns[position[mask ^ table[r][1]]].append((r, x))
+                columns[(mask ^ table[r][1]).bit_length()].append((r, x))
         for block, col in zip(blocks, columns):
             block.append(tuple(sorted(col)))
     return tuple(map(tuple, blocks))
@@ -313,12 +311,12 @@ def _apply(columns: SectorColumns, vec: list[int], n_rows: int) -> list[int]:
 
 
 def _block(columns: SectorColumns, n_rows: int, keep=None) -> list[list[int]]:
-    """Dense rows of one sector block, restricted to the columns ``keep``."""
-    keep = range(len(columns)) if keep is None else keep
+    """Dense rows of a block: column c is sign times ``columns[i]``, (i, sign) = keep[c], or all columns."""
+    keep = [(i, 1) for i in range(len(columns))] if keep is None else keep
     mat = [[0] * len(keep) for _ in range(n_rows)]
-    for c, i in enumerate(keep):
+    for c, (i, sign) in enumerate(keep):
         for r, value in columns[i]:
-            mat[r][c] = value
+            mat[r][c] = sign * value
     return mat
 
 
@@ -331,9 +329,9 @@ def _weights(m: int, k: int) -> tuple[int, ...]:
 # -- sector decomposition --------------------------------------------------------
 
 
-def _orbits(m: int) -> list[tuple[int, int]]:
-    """(representative sector 2^j - 1, orbit size) for j = 0..floor(m/2)."""
-    return [((1 << j) - 1, comb(m, j) * (1 if 2 * j == m else 2)) for j in range(m // 2 + 1)]
+def _orbit_index(m: int) -> tuple[int, ...]:
+    """Entry v is sector v's orbit j = min(|v|, m - |v|) <= m/2, whose representative is 2^j - 1."""
+    return tuple(min(w, m - w) for w in (bin(v).count("1") for v in range(1 << m)))
 
 
 def _composition(sand, wrap) -> list[list[list[int]]]:
@@ -354,7 +352,8 @@ def _conjugation(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     """Every sector v of P(k) as the image of its orbit representative 2^j - 1, j = min(|v|, m - |v|).
 
     Entry v is (src, signs), the signed permutation P_k with
-    (P_k x)_i = signs[i] x[src[i]], the identity for a representative.
+    (P_k x)_i = signs[par_i] x[src[i]], the identity for a representative:
+    one sign per parity 0..2^m - 1, 0 where no degree-k monomial has it.
     The coordinate permutation sigma sends axes 0..j-1 onto the bits of
     u, v or v xor (2^m - 1) of weight j, and the others onto the rest,
     both in ascending order; it maps x^a e_A to x^sigma(a) times e_A
@@ -362,13 +361,13 @@ def _conjugation(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     sorted.  When |v| > j, right multiplication by the pseudoscalar e_N
     then maps x^a e_A to the sign of e_A e_N times x^a e_(A xor N).  It
     passes D_R and x on the right with the sign (-1)^(m-1), so there the
-    signs carry (-1)^((m-1) floor(k/2)) too, and S_v = P_(k-2) S_r P_k^-1 and
-    T_v = P_k T_r P_(k-2)^-1 in every sector.  v and v xor (2^m - 1)
-    share src, and each sign depends only on the element's parity.
+    signs carry (-1)^((m-1) floor(k/2)) too, and S_v = P_(k-2) S_r P_k^-1
+    and T_v = P_k T_r P_(k-2)^-1 in every sector; v and v xor (2^m - 1) share src.
     """
     full = (1 << m) - 1
     index, table = _monomial_table(m, k)
     flip = (-1) ** ((m - 1) * (k // 2))
+    parities = {par for _, par in table}
     maps = [None] * (full + 1)
     for u in range(full + 1):
         j = bin(u).count("1")
@@ -378,11 +377,11 @@ def _conjugation(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
         src = tuple(index[tuple(a[t] for t in sigma)] for a, _ in table)
         # sigma keeps the order within u's bits and within the rest, so sorting the renamed
         # blade u xor par swaps each pair of a bit in u above a bit outside it
-        sign = {par: blade_sign(u & ~par, par & ~u) for par in {par for _, par in table}}
-        maps[u] = (src, tuple(sign[par] for _, par in table))
+        sign = {par: blade_sign(u & ~par, par & ~u) for par in parities}
+        maps[u] = (src, tuple(sign.get(par, 0) for par in range(full + 1)))
         if 2 * j < m:
             pseudo = {par: flip * x * blade_sign(u ^ par, full) for par, x in sign.items()}
-            maps[u ^ full] = (src, tuple(pseudo[par] for _, par in table))
+            maps[u ^ full] = (src, tuple(pseudo.get(par, 0) for par in range(full + 1)))
     return tuple(maps)
 
 
@@ -393,16 +392,15 @@ def _composition_solver(m: int, k: int) -> tuple:
     Entry j of the next three values belongs to the representative
     r = 2^j - 1, j <= m/2: den times the inverse of its S o T block on
     P(k-2), by `linalg.integer_inverse`, den being the lcm of their
-    reduced denominators, and its blocks S_r of the sandwich on P(k) and
-    T_r of wrap_x on P(k-2).  Entry v of orbit is sector v's j,
-    min(|v|, m - |v|); through `_conjugation`'s maps, sector v's system
-    is orbit j's.  Both sides of each j <-> m - j pair cost the same to
-    invert, within a few percent from (3, 6) to (6, 6), so the side with
-    j = 0 is taken.  Singularity would contradict the direct-sum theorem
-    and is treated as an internal error.
+    reduced denominators, and its `sector_operator` blocks S_r of the
+    sandwich on P(k) and T_r of wrap_x on P(k-2).  orbit is `_orbit_index(m)`:
+    through `_conjugation`'s maps, sector v's system is orbit[v]'s.  Both
+    sides of each j <-> m - j pair cost the same to invert, within a few
+    percent from (3, 6) to (6, 6), so the side with j = 0 is taken.
+    Singularity would contradict the direct-sum theorem and is treated as
+    an internal error.
     """
-    reps = [rep for rep, _ in _orbits(m)]
-    sand, wrap = _sector_blocks("sandwich", m, k, reps), _sector_blocks("wrap_x", m, k - 2, reps)
+    sand, wrap = sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2)
     inverses = []
     for block in _composition(sand, wrap):
         try:
@@ -414,8 +412,7 @@ def _composition_solver(m: int, k: int) -> tuple:
             ) from exc
     den = lcm(*(d for d, _ in inverses))
     scaled = tuple(tuple(tuple(x * (den // d) for x in row) for row in inverse) for d, inverse in inverses)
-    orbit = tuple(min(w, m - w) for w in (bin(v).count("1") for v in range(1 << m)))
-    return den, scaled, sand, wrap, orbit
+    return den, scaled, sand, wrap, _orbit_index(m)
 
 
 def composition_rank(m: int, k: int) -> int:
@@ -423,17 +420,15 @@ def composition_rank(m: int, k: int) -> int:
     _check_degree(k)
     if k < 2:
         return 0
-    reps, sizes = zip(*_orbits(m))
-    blocks = _composition(_sector_blocks("sandwich", m, k, reps), _sector_blocks("wrap_x", m, k - 2, reps))
-    return sum(size * linalg.rank(block) for size, block in zip(sizes, blocks))
+    blocks = _composition(sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2))
+    return sum(_orbit_index(m).count(j) * linalg.rank(block) for j, block in enumerate(blocks))
 
 
 def sandwich_rank(m: int, k: int) -> int:
     """Rank of the sandwich operator on P(k): orbit sizes times representatives' exact ranks."""
-    reps, sizes = zip(*_orbits(m))
-    blocks = _sector_blocks("sandwich", m, k, reps)  # first, so that it checks k
+    blocks = sector_operator("sandwich", m, k)  # first, so that it checks k
     n = monomial_count(m, k - 2) if k >= 2 else 0
-    return sum(size * linalg.rank(_block(columns, n)) for size, columns in zip(sizes, blocks))
+    return sum(_orbit_index(m).count(j) * linalg.rank(_block(cols, n)) for j, cols in enumerate(blocks))
 
 
 def infra_space_dim(m: int, k: int) -> int:
@@ -688,7 +683,10 @@ def kernel_basis(
 
     ``kind`` is one of inframonogenic / left_monogenic / right_monogenic /
     two_sided_monogenic / harmonic; ``grade`` optionally restricts the
-    coefficients to a single blade grade.  Deterministic output order.
+    coefficients to a single blade grade.  Deterministic output order:
+    sector by sector, the nullspace of the operators' stacked blocks,
+    whose column i is signs[par_i] times the representative's column
+    src[i] (`_conjugation`), row-equivalent to the sector's own block.
     """
     if kind not in _KERNEL_OPERATORS:
         raise ValueError(f"unknown kernel kind {kind!r}")
@@ -702,18 +700,19 @@ def kernel_basis(
     ]
     table = _monomial_table(m, k)[1]
     out: list[CliffordPolynomial] = []
-    for v in range(1 << m):
+    for v, (src, signs), j in zip(range(1 << m), _conjugation(m, k), _orbit_index(m)):
         keep = [
             i for i, (_, par) in enumerate(table)
             if grade is None or bin(v ^ par).count("1") == grade
         ]
         if not keep:
             continue
-        rows = [row for blocks, n in operators for row in _block(blocks[v], n, keep)]
+        columns = [(src[i], signs[table[i][1]]) for i in keep]
+        rows = [row for blocks, n in operators for row in _block(blocks[j], n, columns)]
         if rows:
             vectors = linalg.nullspace(rows)
         else:
-            vectors = [[int(i == j) for j in range(len(keep))] for i in range(len(keep))]
+            vectors = [[int(i == l) for l in range(len(keep))] for i in range(len(keep))]
         for vec in vectors:
             terms = {table[i][0]: {v ^ table[i][1]: x} for x, i in zip(vec, keep)}
             out.append(CliffordPolynomial._trusted(m, *_from_fractions(terms)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from inframono import (
     CliffordPolynomial,
@@ -16,9 +17,10 @@ from inframono import (
     monomial_basis,
     poly_basis,
 )
+from inframono import fischer
 from inframono.linalg import SingularMatrixError
 from inframono.numeric import NumericMultivector
-from inframono.polynomials import monomial_sort_key
+from inframono.polynomials import _apply_integer, monomial_sort_key
 
 
 def random_rational(rng: random.Random, span: int = 9, max_den: int = 4) -> Fraction:
@@ -172,6 +174,38 @@ def dense_matrix(op, m: int, k_in: int, k_out: int) -> list[list[Fraction]]:
         for mono, mask in poly_basis(m, k_in)
     ]
     return [list(row) for row in zip(*columns)]
+
+
+@lru_cache(maxsize=None)
+def all_sector_blocks(op: str, m: int, k_in: int) -> tuple:
+    """`fischer.sector_operator`'s layout for all 2^m sectors, entry v sector v's, without the orbit maps.
+
+    Every primitive keeps sectors, so one run of op's chain through
+    `polynomials._apply_integer` on the sum over v of x^a e_(v xor parity(a))
+    gives column a of all 2^m blocks.  The tests check these columns
+    against the product-based reference operators.
+    """
+    k_out = k_in + fischer._DEGREE_SHIFT[op]
+    index, table = fischer._monomial_table(m, k_out) if k_out >= 0 else ({}, ())
+    blocks = [[] for _ in range(1 << m)]
+    for a, par in fischer._monomial_table(m, k_in)[1]:
+        numerators = {a: {v ^ par: 1 for v in range(1 << m)}}
+        for step in fischer._CHAINS[op]:
+            numerators = _apply_integer(step, m, numerators)
+        columns = [[] for _ in blocks]
+        for b, blades in numerators.items():
+            r = index[b]
+            for mask, x in blades.items():
+                columns[mask ^ table[r][1]].append((r, x))
+        for block, col in zip(blocks, columns):
+            block.append(tuple(sorted(col)))
+    return tuple(map(tuple, blocks))
+
+
+def conjugation_pairs(m: int, k: int, v: int) -> list[tuple[int, int]]:
+    """`fischer._conjugation(m, k)[v]` per element i of the sector: (src[i], sign of i's parity)."""
+    src, signs = fischer._conjugation(m, k)[v]
+    return [(i, signs[par]) for i, (_, par) in zip(src, fischer._monomial_table(m, k)[1])]
 
 
 # Reference text boundary: rendering term by term through Fraction's own

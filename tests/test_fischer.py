@@ -44,10 +44,13 @@ from inframono import (
 from inframono import fischer, linalg
 from inframono.linalg import mat_vec, rank
 from helpers import (
+    all_sector_blocks,
+    conjugation_pairs,
     dense_matrix,
     random_polynomial,
     random_scalar_polynomial,
     reference_laplacian,
+    reference_rref,
     reference_sandwich,
     reference_wrap_x,
 )
@@ -486,16 +489,17 @@ class TestOrbitSolver:
     )
     def test_every_sector_equals_direct_elimination(self, m, k):
         den, reps, sand, wrap, orbit = fischer._composition_solver(m, k)
-        all_sand, all_wrap = fischer.sector_operator("sandwich", m, k), fischer.sector_operator("wrap_x", m, k - 2)
+        # every sector's S o T from blocks built without the orbit maps, inverted on its own
+        all_sand, all_wrap = all_sector_blocks("sandwich", m, k), all_sector_blocks("wrap_x", m, k - 2)
         direct = [linalg.invert(block) for block in fischer._composition(all_sand, all_wrap)]
         assert len(reps) == len(sand) == len(wrap) == m // 2 + 1
         assert len(orbit) == len(direct) == 1 << m
         n = monomial_count(m, k - 2)
-        for v, (j, low, inverse) in enumerate(zip(orbit, fischer._conjugation(m, k - 2), direct)):
+        for v, (j, inverse) in enumerate(zip(orbit, direct)):
             # sector v's inverse, expanded from its orbit's: entry (i, l) is s_i s_l R[src_i][src_l]
             weight = bin(v).count("1")
             assert j == min(weight, m - weight)
-            source = list(zip(*low))
+            source = conjugation_pairs(m, k - 2, v)
             if v == (1 << j) - 1:
                 assert source == [(i, 1) for i in range(n)]
             rep = reps[j]
@@ -550,7 +554,8 @@ class TestOrbitSolver:
     def test_cold_solver_holds_little_memory(self):
         """A cold (8, 4) split holds floor(m/2)+1 blocks per operator, not 2^m, and the maps of its two degrees.
 
-        31 MiB were held while all 2^m blocks were built; now 2.2 MiB, 0.8 MiB of them the solver.
+        31 MiB were held while all 2^m blocks were built; now 2.5 MiB, 0.8 MiB of them the solver,
+        whose blocks are `sector_operator`'s cached ones.
         """
         fischer._composition_solver.cache_clear()
         fischer._conjugation.cache_clear()
@@ -564,6 +569,7 @@ class TestOrbitSolver:
             tracemalloc.stop()
             fischer._composition_solver.cache_clear()
             fischer._conjugation.cache_clear()
+            fischer.sector_operator.cache_clear()
         assert len(solver[1]) == len(solver[2]) == len(solver[3]) == 5
         assert len(maps[0]) == len(maps[1]) == len(solver[4]) == 256
         assert held < 8 * 2**20
@@ -661,6 +667,35 @@ class TestKernelSampling:
             for k in (2, 3, 4):
                 expected = space_dim(m, k) - space_dim(m, k - 2)
                 assert len(kernel_basis(m, k, "inframonogenic")) == expected
+
+    @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 4) for k in range(6)])
+    def test_basis_is_the_reference_sector_nullspaces(self, m, k):
+        """Sector by sector, one vector per free column of the RREF of the kind's stacked reference blocks."""
+        table = fischer._monomial_table(m, k)[1]
+        for kind, ops in fischer._KERNEL_OPERATORS.items():
+            for grade in [None, *range(m + 1)]:
+                expected = []
+                for v in range(1 << m):
+                    keep = [i for i, (_, par) in enumerate(table)
+                            if grade is None or bin(v ^ par).count("1") == grade]
+                    rows = []
+                    for op in ops:
+                        k_out = k + fischer._DEGREE_SHIFT[op]
+                        if k_out >= 0:
+                            dense = [[0] * len(keep) for _ in range(monomial_count(m, k_out))]
+                            for c, i in enumerate(keep):
+                                for r, value in all_sector_blocks(op, m, k)[v][i]:
+                                    dense[r][c] = value
+                            rows += dense
+                    reduced, pivots = reference_rref(rows) if rows else ([], [])
+                    for free in (c for c in range(len(keep)) if c not in pivots):
+                        vec = [Fraction(int(c == free)) for c in range(len(keep))]
+                        for r, c in enumerate(pivots):
+                            vec[c] = -reduced[r][free]
+                        expected.append(CliffordPolynomial(m, {
+                            table[i][0]: Multivector(m, {v ^ table[i][1]: x}) for x, i in zip(vec, keep) if x
+                        }))
+                assert list(kernel_basis(m, k, kind, grade)) == expected, (kind, grade)
 
     @pytest.mark.parametrize("kind, k, message", [
         ("bogus", 2, "unknown kernel kind 'bogus'"),

@@ -20,6 +20,8 @@ from inframono import fischer
 from inframono.fischer import sector_operator
 from inframono.linalg import invert, mat_vec
 from helpers import (
+    all_sector_blocks,
+    conjugation_pairs,
     dense_matrix,
     random_polynomial,
     reference_dirac_left,
@@ -53,17 +55,21 @@ def matmul(a, b):
 
 @pytest.mark.parametrize("m,k", CASES)
 def test_columns_equal_polynomial_operators(m, k):
-    """Every entry of every compiled column equals the reference operator on that basis element.
+    """Every entry of every reference column equals the reference operator on that basis element.
 
-    Element i of sector v is monomial i of the degree with the blade v xor its parity.
+    Element i of sector v is monomial i of the degree with the blade v xor its parity.  The
+    representatives' blocks, all that `sector_operator` builds, are the reference's own.
     """
     table = fischer._monomial_table(m, k)[1]
     for op, (apply_fn, shift) in REFERENCE_OPERATORS.items():
+        reference = all_sector_blocks(op, m, k)
         blocks = sector_operator(op, m, k)
         # columns are empty below degree 0, so the output table is never read there
         out_table = fischer._monomial_table(m, k + shift)[1] if k + shift >= 0 else None
-        assert len(blocks) == 1 << m
-        for v, columns in enumerate(blocks):
+        assert len(reference) == 1 << m
+        assert len(blocks) == m // 2 + 1
+        assert blocks == tuple(reference[(1 << j) - 1] for j in range(m // 2 + 1)), op
+        for v, columns in enumerate(reference):
             assert len(columns) == len(table)
             for col, (mono, par) in zip(columns, table):
                 mask = v ^ par
@@ -103,28 +109,44 @@ def test_decompose_matches_dense_reference_solve(m, k):
 
 @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 4) for k in range(2, 7)])
 def test_composition_equals_dense_product(m, k):
-    """Each dense S o T block is the product of the sandwich and wrap_x sector blocks."""
+    """Each dense S o T block is the product of the sandwich and wrap_x blocks, in every sector."""
     n, n_k = monomial_count(m, k - 2), monomial_count(m, k)
-    sand, wrap = sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2)
+    sand, wrap = all_sector_blocks("sandwich", m, k), all_sector_blocks("wrap_x", m, k - 2)
     blocks = fischer._composition(sand, wrap)
     assert len(blocks) == 1 << m
     for v, block in enumerate(blocks):
         assert block == matmul(fischer._block(sand[v], n), fischer._block(wrap[v], n_k)), v
+    reps = [(1 << j) - 1 for j in range(m // 2 + 1)]
+    held = fischer._composition(sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2))
+    assert held == [blocks[rep] for rep in reps]
 
 
-def test_decompose_and_tower_build_no_all_sector_blocks():
-    """A split reads the representatives' blocks its solver holds, never `sector_operator`'s 2^m blocks.
+def test_sector_operator_caches_one_block_per_orbit(monkeypatch):
+    """After a split, towers and a cold `kernel_basis`, each cached `sector_operator` entry has m//2+1 blocks.
 
     A tower from degree k whose quotients are all nonzero builds one `_conjugation` map per degree
     it splits or returns, k//2 + 1.
     """
-    sector_operator.cache_clear()
+    real = fischer.sector_operator
+    seen = {}
+
+    def spy(op, m, k_in):
+        seen[op, m, k_in] = len(blocks := real(op, m, k_in))
+        return blocks
+
+    monkeypatch.setattr(fischer, "sector_operator", spy)
+    real.cache_clear()
+    fischer._composition_solver.cache_clear()
+    fischer.kernel_basis.cache_clear()
     fischer_decompose(CliffordPolynomial.monomial(3, (2, 1, 1), 1))
     fischer_tower(CliffordPolynomial.monomial(4, (3, 1, 1, 1), 1))
     fischer._conjugation.cache_clear()
     fischer_tower(CliffordPolynomial.monomial(4, (6, 0, 0, 0), 1))
-    assert sector_operator.cache_info().currsize == 0
     assert fischer._conjugation.cache_info().misses == 6 // 2 + 1
+    fischer.kernel_basis(5, 3, "two_sided_monogenic")
+    assert ("dirac_right", 5, 3) in seen
+    assert real.cache_info().currsize == len(seen)
+    assert all(n == m // 2 + 1 for (_, m, _), n in seen.items())
 
 
 def _perturbed_solver(monkeypatch, m, k, j=0):
@@ -183,7 +205,7 @@ def test_columns_ascend_and_hold_nonzero_ints(m):
         for k in range(5):
             n_rows = monomial_count(m, k + shift) if k + shift >= 0 else 0
             blocks = sector_operator(op, m, k)
-            assert len(blocks) == 1 << m
+            assert len(blocks) == m // 2 + 1
             for block in blocks:
                 assert len(block) == monomial_count(m, k)
                 for col in block:
@@ -201,8 +223,10 @@ PSEUDOSCALAR_ODD = {"sandwich": True, "wrap_x": True, "dirac_right": True, "dira
 def test_every_sector_block_is_a_signed_conjugate_of_its_representative(m, k):
     """O_v[i][l] = eps s_i s_l O_rep[src_i][src_l], entry by entry, for every sector v.
 
-    (src, s) is `_conjugation`'s map at the output degree for i and at the
-    input degree for l, the identity with all signs +1 in a representative
+    O_v is `all_sector_blocks`' block of sector v, built without the maps,
+    and O_rep the representative's `sector_operator` block.  (src, s) is
+    `_conjugation`'s map at the output degree for i and at the input
+    degree for l, the identity with all signs +1 in a representative
     sector.  eps is 1 when |v| <= m/2.  On the pseudoscalar half the maps
     carry (-1)^((m-1) floor(k/2)), so eps is (-1)^((m-1)(odd + k//2 - k_out//2)):
     1 for the sandwich and wrap_x, which change the degree by 2 and have odd set.
@@ -212,19 +236,20 @@ def test_every_sector_block_is_a_signed_conjugate_of_its_representative(m, k):
         if k_out < 0:
             continue
         n_in, n_out = monomial_count(m, k), monomial_count(m, k_out)
-        blocks = [fischer._block(columns, n_out) for columns in sector_operator(op, m, k)]
-        maps_out, maps_in = fischer._conjugation(m, k_out), fischer._conjugation(m, k)
-        for v, block in enumerate(blocks):
+        reps = [fischer._block(columns, n_out) for columns in sector_operator(op, m, k)]
+        for v, columns in enumerate(all_sector_blocks(op, m, k)):
+            block = fischer._block(columns, n_out)
             weight = bin(v).count("1")
             j = min(weight, m - weight)
             eps = (-1) ** ((m - 1) * (odd + k // 2 - k_out // 2)) if 2 * weight > m else 1
             assert eps == 1 or op not in ("sandwich", "wrap_x")
-            rows, cols = list(zip(*maps_out[v])), list(zip(*maps_in[v]))
+            rows, cols = conjugation_pairs(m, k_out, v), conjugation_pairs(m, k, v)
             if v == (1 << j) - 1:
                 assert rows == [(i, 1) for i in range(n_out)] and cols == [(l, 1) for l in range(n_in)]
             assert sorted(i for i, _ in rows) == list(range(n_out))
             assert sorted(l for l, _ in cols) == list(range(n_in))
-            rep = blocks[(1 << j) - 1]
+            assert all(s in (1, -1) for _, s in rows + cols)
+            rep = reps[j]
             assert block == [[eps * s * t * rep[i][l] for l, t in cols] for i, s in rows], (op, v)
 
 
@@ -251,8 +276,9 @@ def test_sector_frames_are_the_inverse_maps_of_plain_coordinates(m):
             parity = sum(1 << j for j, e in enumerate(mono) if e % 2)
             plain[parity ^ mask][monos.index(mono)] = x
         vec, den = fischer._sector_coords(p, k)
-        for v, (src, signs) in enumerate(fischer._conjugation(m, k)):
-            expected = [Fraction(0)] * len(src)
-            for i, s, x in zip(src, signs, plain[v]):
+        for v in range(1 << m):
+            pairs = conjugation_pairs(m, k, v)
+            expected = [Fraction(0)] * len(pairs)
+            for (i, s), x in zip(pairs, plain[v]):
                 expected[i] = s * x
             assert [Fraction(x, den) for x in vec[v]] == expected, (k, v)
