@@ -107,13 +107,15 @@ def _format_terms(dim: int, groups: Iterable[tuple[str, Mapping[int, RationalLik
     rank, blade_text = _blade_table(dim)
     chunks: list[str] = []
     for var_text, values, den in groups:
-        for mask in sorted(values, key=rank.__getitem__):
+        for mask in sorted(values, key=rank.__getitem__) if len(values) > 1 else values:
             value = values[mask]
             num, d = value.numerator, value.denominator * den
             g = gcd(num, d)
             sign = " - " if num < 0 else " + "
-            body = str(abs(num) // g) if d == g else f"{abs(num) // g}/{d // g}"
-            chunks.append(sign + body + var_text + blade_text[mask])
+            if d == g:
+                chunks.append(f"{sign}{abs(num) // g}{var_text}{blade_text[mask]}")
+            else:
+                chunks.append(f"{sign}{abs(num) // g}/{d // g}{var_text}{blade_text[mask]}")
     if not chunks:
         return "0"
     text = "".join(chunks)

@@ -28,21 +28,22 @@ Every operator has an integer matrix in the (monomial, blade) basis,
 built by `sector_operator` with `polynomials._apply_integer`, the
 integer core the polynomial operators run as well, as sparse integer
 columns for the orbit representatives only, cached.  A split scatters a
-polynomial's integer numerators straight into each sector's
-representative frame, solves there, and gathers the two parts back into
-numerators; `kernel_basis` builds each sector's dense block from its
-representative's columns through the same maps.  The complete
-decomposition P(k) = sum_s x^s I(k-2s) x^s is that step applied again
-to each quotient.
+polynomial's integer numerators straight into the representative frame
+of each sector it touches, solves those touched sectors only, and
+gathers the two parts back into numerators; `kernel_basis` builds each
+sector's dense block from its representative's columns through the same
+maps.  The complete decomposition P(k) = sum_s x^s I(k-2s) x^s is that
+step applied again to each quotient.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from itertools import chain
+from math import factorial, gcd, lcm
 
 from . import linalg
 from .algebra import _as_fraction, blade_sign, blades_in_order
@@ -89,35 +90,48 @@ def _monomial_table(m: int, k: int) -> tuple[dict[Monomial, int], tuple[tuple[Mo
     return {a: i for i, a in enumerate(monos)}, tuple((a, _parity(a)) for a in monos)
 
 
-# Sector-local integer coordinates: entry v lists sector v's numerators in its representative's frame.
-SectorVector = list[list[int]]
+# Sector-local integer coordinates of the touched sectors only: key v holds sector v's
+# numerators in its representative's frame; an absent sector is all zero.
+SectorVector = dict[int, list[int]]
 
 
 def _sector_coords(p: CliffordPolynomial, k: int) -> tuple[SectorVector, int]:
-    """Numerators of a degree-k p's coordinates by sector, P_k^-1 of each, and their common denominator."""
+    """Numerators of a degree-k p's coordinates, P_k^-1 of each sector's, and their denominator.
+
+    Touched sectors only: a sector's list is created at its first term.
+    """
     index, table = _monomial_table(p.dim, k)
     maps = _conjugation(p.dim, k)
-    vec = [[0] * len(table) for _ in maps]
+    vec: SectorVector = {}
     for mono, blades in p._nums.items():
         i = index[mono]
         par = table[i][1]
         for mask, x in blades.items():
-            src, signs = maps[par ^ mask]
-            vec[par ^ mask][src[i]] = x if signs[par] > 0 else -x
+            v = par ^ mask
+            src, signs = maps[v]
+            if v not in vec:
+                vec[v] = [0] * len(table)
+            vec[v][src[i]] = x if signs[par] > 0 else -x
     return vec, p._den
 
 
 def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolynomial:
-    """The polynomial with coordinates P_k vec / den; each entry of vec is released once read."""
+    """The polynomial with coordinates P_k vec / den, read from the touched sectors only.
+
+    They are read in ascending v, which fixes the order of the monomials,
+    and each is released once read.
+    """
     table = _monomial_table(m, k)[1]
+    maps = _conjugation(m, k)
+    g = gcd(den, *chain.from_iterable(vec.values()))  # divided out here, so `_trusted` copies nothing
     nums: dict[Monomial, dict[int, int]] = {}
-    for v, (src, signs) in enumerate(_conjugation(m, k)):
-        values, vec[v] = vec[v], None
-        if any(values):
-            for (mono, par), i in zip(table, src):
-                if x := values[i]:
-                    nums.setdefault(mono, {})[v ^ par] = x if signs[par] > 0 else -x
-    return CliffordPolynomial._trusted(m, den, nums)
+    for v in sorted(vec):
+        src, signs = maps[v]
+        values = vec.pop(v)
+        for (mono, par), i in zip(table, src):
+            if x := values[i]:
+                nums.setdefault(mono, {})[v ^ par] = x // g if signs[par] > 0 else -x // g
+    return CliffordPolynomial._trusted(m, den // g, nums)
 
 
 def coords(p: CliffordPolynomial, k: int) -> list[Fraction]:
@@ -258,7 +272,7 @@ def wrap_x(p: CliffordPolynomial, times: int = 1) -> CliffordPolynomial:
 _PRIMITIVE_SHIFT = {"dirac_left": -1, "dirac_right": -1, "x_left": 1, "x_right": 1, "laplacian": -2}
 _CHAINS = {**{op: (op,) for op in _PRIMITIVE_SHIFT},
            "sandwich": ("dirac_left", "dirac_right"), "wrap_x": ("x_right", "x_left")}
-_DEGREE_SHIFT = {op: sum(_PRIMITIVE_SHIFT[step] for step in chain) for op, chain in _CHAINS.items()}
+_DEGREE_SHIFT = {op: sum(_PRIMITIVE_SHIFT[step] for step in steps) for op, steps in _CHAINS.items()}
 
 #: Columns of one sector block: per input monomial, (output monomial index, value) pairs.
 SectorColumns = tuple[tuple[tuple[int, int], ...], ...]
@@ -474,7 +488,8 @@ class _Splitting:
             "infra": infra,
             "quotient": str(quotient),
             "layers": layers,
-            "checks": asdict(self.checks),
+            "checks": {"reconstruction": self.checks.reconstruction, "sandwich_zero": self.checks.sandwich_zero,
+                       "orthogonal": self.checks.orthogonal},
         }
 
 
@@ -495,18 +510,20 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
     """Split a homogeneous p as infra_part + x quotient x, exactly.
 
     Degrees 0 and 1 are wholly inframonogenic and return a zero quotient.
-    Above that, p's integer coordinates c are scattered into each
-    sector's orbit-representative frame (`_conjugation`) and split there
-    as den c = infra + T_r q, with q = den (S_r T_r)^-1 S_r c from
-    `_composition_solver`; infra and q are gathered back into
-    polynomials through the same maps.  Two flags test the solve on
-    those integers: S_r infra = 0, and T_r^t W infra = 0, i.e. the
-    Fischer pairing of infra with x b x for every basis element b of
-    P(k-2), W (the a! weights) being invariant under the maps.  The
-    reconstruction flag tests what is returned: the coordinates of the
-    returned infra_part plus T times those of the returned quotient must
-    equal p's, compared exactly across the three denominators, so a
-    wrong conversion back to polynomials makes it False.
+    Above that, p's integer coordinates c are scattered into the
+    orbit-representative frame (`_conjugation`) of each sector p touches,
+    and split in those touched sectors only, as den c = infra + T_r q,
+    with q = den (S_r T_r)^-1 S_r c from `_composition_solver`; infra and
+    q are gathered back into polynomials through the same maps.  Two
+    flags test the solve on those integers: S_r infra = 0, and
+    T_r^t W infra = 0, i.e. the Fischer pairing of infra with x b x for
+    every basis element b of P(k-2), W (the a! weights) being invariant
+    under the maps.  The reconstruction flag tests what is returned: in
+    every sector that p or either returned part touches, the coordinates
+    of the returned infra_part plus T times those of the returned
+    quotient must equal p's, compared exactly across the three
+    denominators, so a wrong conversion back to polynomials makes it
+    False, also when it lands in a sector p does not touch.
     """
     if not p.is_homogeneous():
         raise ValueError("decomposition requires a homogeneous polynomial")
@@ -516,36 +533,35 @@ def fischer_decompose(p: CliffordPolynomial) -> DecompositionResult:
         return DecompositionResult(p, p, zero, DecompositionChecks(True, True, True))
     solver_den, inverses, sand, wrap, orbit = _composition_solver(m, k)
     vec, den = _sector_coords(p, k)
-    n_low = monomial_count(m, k - 2)
+    n_k, n_low = monomial_count(m, k), monomial_count(m, k - 2)
     weights = _weights(m, k)
-    infra: SectorVector = []
-    quotient: SectorVector = []
+    infra: SectorVector = {}
+    quotient: SectorVector = {}
     sandwich_zero = orthogonal = True
-    for c, j in zip(vec, orbit):
-        if not any(c):
-            infra.append(c)
-            quotient.append([0] * n_low)
-            continue
+    for v, c in vec.items():
+        j = orbit[v]
         s_cols, t_cols = sand[j], wrap[j]
         rhs = _apply(s_cols, c, n_low)
         q = linalg.mat_vec(inverses[j], rhs) if any(rhs) else [0] * n_low
-        inf = [solver_den * x - y for x, y in zip(c, _apply(t_cols, q, len(c)))]
+        inf = [solver_den * x - y for x, y in zip(c, _apply(t_cols, q, n_k))]
         sandwich_zero = sandwich_zero and not any(_apply(s_cols, inf, n_low))
         if orthogonal:
             weighted = [w * x for w, x in zip(weights, inf)]
             orthogonal = not any(sum(t * weighted[r] for r, t in col) for col in t_cols)
-        infra.append(inf)
-        quotient.append(q)
+        infra[v] = inf
+        quotient[v] = q
     infra_part = _from_sectors(m, k, infra, den * solver_den)
     quotient_part = _from_sectors(m, k - 2, quotient, den * solver_den)
-    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den
+    # infra_part + x quotient_part x == p, per coordinate x / di + y / dq == z / den, in every sector
+    # any of the three touches: a term gathered into a sector p never touched must fail it
     got_infra, di = _sector_coords(infra_part, k)
     got_quotient, dq = _sector_coords(quotient_part, k - 2)
+    zero_k, zero_low = [0] * n_k, [0] * n_low
     reconstruction = all(
         den * (dq * x + di * y) == di * dq * z
-        for a, b, c, j in zip(got_infra, got_quotient, vec, orbit)
-        if any(a) or any(b) or any(c)
-        for x, y, z in zip(a, _apply(wrap[j], b, len(c)), c)
+        for v in vec.keys() | got_infra.keys() | got_quotient.keys()
+        for x, y, z in zip(got_infra.get(v, zero_k), _apply(wrap[orbit[v]], got_quotient.get(v, zero_low), n_k),
+                           vec.get(v, zero_k))
     )
     checks = DecompositionChecks(reconstruction, sandwich_zero, orthogonal)
     return DecompositionResult(p, infra_part, quotient_part, checks)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebra import (
@@ -30,10 +31,6 @@ Monomial = tuple[int, ...]
 CoefficientLike = Union[Multivector, int, Fraction]
 
 
-def monomial_degree(exponents: Monomial) -> int:
-    return sum(exponents)
-
-
 def _parity(exponents: Monomial) -> int:
     """Mask of the odd exponents: x^a e_A lies in the sign-flip sector _parity(a) xor A."""
     mask = 0
@@ -41,11 +38,6 @@ def _parity(exponents: Monomial) -> int:
         if e & 1:
             mask |= 1 << j
     return mask
-
-
-def monomial_sort_key(exponents: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Graded-lex order: by total degree, then descending lexicographic."""
-    return (sum(exponents), tuple(-e for e in exponents))
 
 
 def _check_degree(k: int) -> None:
@@ -161,7 +153,7 @@ class CliffordPolynomial:
 
     def _store(self, dim: int, den: int, nums: _Numerators) -> None:
         """Set the slots, dividing den and every numerator by their gcd."""
-        g = math.gcd(den, *(x for blades in nums.values() for x in blades.values()))
+        g = math.gcd(den, *chain.from_iterable(map(dict.values, nums.values())))
         if g != 1:
             den //= g
             nums = {mono: {mask: x // g for mask, x in blades.items()} for mono, blades in nums.items()}
@@ -222,10 +214,10 @@ class CliffordPolynomial:
         """Total degree, or None for the zero polynomial."""
         if not self._nums:
             return None
-        return max(monomial_degree(mono) for mono in self._nums)
+        return max(map(sum, self._nums))
 
     def is_homogeneous(self, k: int | None = None) -> bool:
-        degrees = {monomial_degree(mono) for mono in self._nums}
+        degrees = set(map(sum, self._nums))
         if k is None:
             return len(degrees) <= 1
         return degrees <= {k}
@@ -359,11 +351,9 @@ class CliffordPolynomial:
         return hash((self._dim, self._den, rows))
 
     def __str__(self) -> str:
-        groups = (
-            (_monomial_text(mono), self._nums[mono], self._den)
-            for mono in sorted(self._nums, key=monomial_sort_key)
-        )
-        return _format_terms(self._dim, groups)
+        # graded-lex: descending lexicographic, then stably by degree
+        order = sorted(sorted(self._nums, reverse=True), key=sum)
+        return _format_terms(self._dim, [(_monomial_text(mono), self._nums[mono], self._den) for mono in order])
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial({self._dim}, {self.terms()!r})"
@@ -371,7 +361,7 @@ class CliffordPolynomial:
 
 def _monomial_text(mono: Monomial) -> str:
     """The variable part of a printed term, each power led by ``*``; empty for 1."""
-    return "".join(f"*x{j}" if e == 1 else f"*x{j}^{e}" for j, e in enumerate(mono, 1) if e)
+    return "".join([f"*x{j}" if e == 1 else f"*x{j}^{e}" for j, e in enumerate(mono, 1) if e])
 
 
 def x_vector(m: int) -> CliffordPolynomial:

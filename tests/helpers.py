@@ -20,7 +20,7 @@ from inframono import (
 from inframono import fischer
 from inframono.linalg import SingularMatrixError
 from inframono.numeric import NumericMultivector
-from inframono.polynomials import _apply_integer, monomial_sort_key
+from inframono.polynomials import _apply_integer
 
 
 def random_rational(rng: random.Random, span: int = 9, max_den: int = 4) -> Fraction:
@@ -228,6 +228,11 @@ def _reference_terms(dim: int, var_part: str, coeff: Multivector, chunks: list[s
             chunks.append(("-" if value < 0 else "") + body)
         else:
             chunks.append(("- " if value < 0 else "+ ") + body)
+
+
+def monomial_sort_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded-lex order: by total degree, then descending lexicographic."""
+    return (sum(exponents), tuple(-e for e in exponents))
 
 
 def reference_str(value: CliffordPolynomial | Multivector) -> str:

@@ -26,9 +26,11 @@ from inframono import (
     dirac_right,
     euler,
     fischer_decompose,
+    fischer_tower,
     from_coords,
     kernel_basis,
     laplacian,
+    monomial_basis,
     mul_by_x_left,
     mul_by_x_right,
     parse_polynomial,
@@ -114,8 +116,30 @@ def assert_canonical(p: CliffordPolynomial) -> None:
     assert math.gcd(p._den, *(x for blades in p._nums.values() for x in blades.values())) == 1
 
 
+def _wide_monomials(rng: random.Random, m: int) -> list[tuple[int, ...]]:
+    """Two random monomials of each degree 0..12 and one power x_j^e, e in 10..12, in shuffled order."""
+    monos = []
+    for d in [d for d in range(13) for _ in range(2)]:
+        exps = [0] * m
+        for _ in range(d):
+            exps[rng.randrange(m)] += 1
+        monos.append(tuple(exps))
+    power = [0] * m
+    power[rng.randrange(m)] = rng.randint(10, 12)
+    monos.append(tuple(power))
+    rng.shuffle(monos)
+    return list(dict.fromkeys(monos))
+
+
+def _nonzero_multivector(rng: random.Random, m: int) -> Multivector:
+    while (a := random_multivector(rng, m)).is_zero():
+        pass
+    return a
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_str_matches_reference(m):
+    """Random values, then degrees 0..12 against the graded-lex sort, then dense splits at (4, 6) and (5, 4)."""
     rng = random.Random(100 + m)
     assert str(CliffordPolynomial.zero(m)) == reference_str(CliffordPolynomial.zero(m)) == "0"
     assert str(Multivector.zero(m)) == "0"
@@ -124,6 +148,18 @@ def test_str_matches_reference(m):
         assert str(p) == reference_str(p)
         a = random_multivector(rng, m, max_terms=6)
         assert str(a) == reference_str(a)
+    for _ in range(10):
+        p = CliffordPolynomial(m, {mono: _nonzero_multivector(rng, m) for mono in _wide_monomials(rng, m)})
+        assert max(max(mono) for mono in p.terms()) >= 10 and p.degree() >= 12
+        assert str(p) == reference_str(p)
+    if m in (4, 5):
+        k = 6 if m == 4 else 4
+        p = CliffordPolynomial(m, {mono: random_multivector(rng, m) for mono in monomial_basis(m, k)})
+        split, tower = fischer_decompose(p), fischer_tower(p)
+        parts = [split.infra_part, split.quotient] + [layer.component for layer in tower.layers]
+        assert sum(map(len, split.infra_part._nums.values())) >= 300 and split.infra_part._den > 10 ** 5
+        for part in parts:
+            assert str(part) == reference_str(part)
 
 
 @pytest.mark.parametrize("m", range(1, 13))

@@ -13,6 +13,7 @@ from inframono import (
     fischer_tower,
     from_coords,
     monomial_count,
+    parse_polynomial,
     poly_basis,
     wrap_x,
 )
@@ -182,13 +183,76 @@ def test_flags_catch_a_corrupted_representative_in_another_sector(monkeypatch, j
     p = CliffordPolynomial(m, {a: Multivector(m, {v ^ par: i + 1})
                                for i, (a, par) in enumerate(fischer._monomial_table(m, k)[1])})
     vec, _ = fischer._sector_coords(p, k)
-    assert [u for u, c in enumerate(vec) if any(c)] == [v]
+    assert [u for u in range(1 << m) if any(vec.get(u, ()))] == [v]
     honest = fischer_decompose(p)
     assert honest.checks.all_ok
     _perturbed_solver(monkeypatch, m, k, j)
     result = fischer_decompose(p)
     assert result.quotient != honest.quotient
     assert result.checks.sandwich_zero is False
+
+
+@pytest.mark.parametrize("m,text", [(2, "x1^2*e2"), (3, "x1^3*x2*e1"), (4, "2*x1*x2*x3^2*x4*e134")])
+def test_a_one_term_split_applies_only_its_own_sectors_blocks(monkeypatch, m, text):
+    """The solve and the reconstruction flag visit the one touched sector: four `_apply` calls."""
+    p = parse_polynomial(text, m)
+    k = p.degree()
+    (v,) = fischer._sector_coords(p, k)[0]
+    fischer_decompose(p)  # builds the solver outside the count
+    _, _, sand, wrap, orbit = fischer._composition_solver(m, k)
+    real, calls = fischer._apply, []
+
+    def counted(columns, vec, n_rows):
+        calls.append(columns)
+        return real(columns, vec, n_rows)
+
+    monkeypatch.setattr(fischer, "_apply", counted)
+    assert fischer_decompose(p).checks.all_ok
+    j = orbit[v]
+    assert len(calls) == 4
+    assert all(got is want for got, want in zip(calls, (sand[j], wrap[j], sand[j], wrap[j])))
+
+
+@pytest.mark.parametrize("moved", [True, False])
+@pytest.mark.parametrize("m,text", [(2, "x1^2"), (3, "x1^3*x2*e1"), (4, "x1^2*x2^2*e12")])
+def test_reconstruction_flag_sees_a_term_in_an_untouched_sector(monkeypatch, m, text, moved):
+    """Both parts lie in p's sectors; one term moved, or copied, to a blade of another sector fails the flag.
+
+    The copy leaves p's sectors as they were, so only the walk over the sectors the parts touch sees it.
+    """
+    p = parse_polynomial(text, m)
+    touched = set(fischer._sector_coords(p, p.degree())[0])
+    build = fischer._from_sectors
+
+    def misplaced(*args):
+        terms = build(*args).terms()
+        mono, coeff = next(iter(terms.items()))
+        mask, x = next(iter(coeff.items()))
+        u = min(set(range(1 << m)) - touched)
+        terms[mono] = coeff + Multivector(m, {u ^ fischer._parity(mono): x})
+        if moved:
+            terms[mono] -= Multivector(m, {mask: x})
+        return CliffordPolynomial(m, terms)
+
+    assert fischer_decompose(p).checks.all_ok
+    monkeypatch.setattr(fischer, "_from_sectors", misplaced)
+    assert fischer_decompose(p).checks == fischer.DecompositionChecks(False, True, True)
+    assert fischer_tower(p).checks.reconstruction is False
+
+
+@pytest.mark.parametrize("m,k", [(2, 4), (3, 4), (4, 3)])
+def test_parts_list_terms_by_their_first_sector(m, k):
+    """A part lists monomials by (lowest sector of a term, graded-lex index), and blades by sector."""
+    rng = random.Random(300 + m)
+    p = random_polynomial(rng, m, k, max_terms=12)
+    result = fischer_decompose(p)
+    for part, degree in ((result.infra_part, k), (result.quotient, k - 2)):
+        index = fischer._monomial_table(m, degree)[0]
+        nums = part._nums
+        first = {a: min(fischer._parity(a) ^ mask for mask in nums[a]) for a in nums}
+        assert list(nums) == sorted(nums, key=lambda a: (first[a], index[a]))
+        for a, blades in nums.items():
+            assert list(blades) == sorted(blades, key=lambda mask: mask ^ fischer._parity(a))
 
 
 def test_tower_flags_catch_a_corrupted_lower_layer(monkeypatch):
@@ -281,4 +345,4 @@ def test_sector_frames_are_the_inverse_maps_of_plain_coordinates(m):
             expected = [Fraction(0)] * len(pairs)
             for (i, s), x in zip(pairs, plain[v]):
                 expected[i] = s * x
-            assert [Fraction(x, den) for x in vec[v]] == expected, (k, v)
+            assert [Fraction(x, den) for x in vec.get(v, [0] * len(pairs))] == expected, (k, v)
