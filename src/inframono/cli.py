@@ -66,14 +66,22 @@ def _read_polynomials(args: argparse.Namespace, expected: int | None) -> list[Cl
         raise ValueError(f"got both --file {args.file} and argument(s) {given}; give one")
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8-sig") as handle:
-            texts = [line.strip() for line in handle if line.strip()]
+            texts = [(f"line {n}", line.strip()) for n, line in enumerate(handle, 1) if line.strip()]
     else:
-        texts = list(args.polynomial)
+        texts = [(f"input {n}", text) for n, text in enumerate(args.polynomial, 1)]
     if expected is not None and len(texts) != expected:
         raise ValueError(f"expected {expected} polynomial(s), got {len(texts)}")
     if not texts:
         raise ValueError("no polynomial input given (positional argument or --file)")
-    return [parse_polynomial(text, args.m) for text in texts]
+    polys = []
+    for where, text in texts:
+        try:
+            polys.append(parse_polynomial(text, args.m))
+        except PolynomialSyntaxError as exc:
+            if args.file is not None or len(texts) > 1:  # name the failing input
+                exc.args = (f"{where}: {exc}",)
+            raise
+    return polys
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

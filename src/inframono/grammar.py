@@ -10,17 +10,18 @@ canonically ordered text, so parse(print(p)) == p.  The printer's own form
 for m <= 9 is read with one regex match and one findall; all other text goes
 to the token walker, which defines the grammar and raises every syntax error.
 It is one loop over the tokens: a stack holds the sign in force in each open
-group, so nesting depth is not limited.
+group, so nesting depth is not limited.  Both paths give integer terms (signed
+numerator, denominator), summed over one least common multiple; no Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import _blade_table, _check_dim, _vector_signs
-from .polynomials import CliffordPolynomial, Monomial, _from_fractions
+from .polynomials import CliffordPolynomial, Monomial, _Numerators, _pruned
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -88,8 +89,8 @@ def _blade_indices(kind: str, text: str, pos: int) -> list[int]:
 
 def _parse_term(
     tokens: list[tuple[str, str, int]], i: int, length: int, m: int, signs: tuple, sign: int
-) -> tuple[int, Monomial, int, Fraction]:
-    """The term at token i: (index after it, monomial, blade, sign times coefficient).
+) -> tuple[int, Monomial, int, int, int]:
+    """The term at token i: (index after it, monomial, blade, signed numerator, denominator).
 
     Only operator tokens have the texts ``/``, ``^`` and ``*``, so the text alone identifies them.
     """
@@ -133,7 +134,7 @@ def _parse_term(
         if i < count and tokens[i][1] == "*":
             i += 1
         else:
-            return i, tuple(exponents), mask, Fraction(sign * num, den)
+            return i, tuple(exponents), mask, sign * num, den
 
 
 @lru_cache(maxsize=None)
@@ -141,26 +142,30 @@ def _printed_blades(m: int) -> dict[str, int]:  # each printed blade text is sor
     return {text: mask for mask, text in enumerate(_blade_table(m)[1])}
 
 
-def _printed_terms(text: str, m: int) -> list[tuple[Monomial, int, Fraction]] | None:
-    """(monomial, blade, value) terms of text in the printer's form for m <= 9; None: use the walker."""
+def _printed_terms(text: str, m: int) -> list[tuple[Monomial, int, int, int]] | None:
+    """(monomial, blade, numerator, denominator) terms of printer-form text for m <= 9; None: use the walker."""
     if m > 9 or _PRINTED_RE.fullmatch(text) is None:
         return None
-    blades, terms = _printed_blades(m), []
+    blades, monos, terms = _printed_blades(m), {}, []  # monos: power text -> exponents
     try:
         for sign, num, den, powers, blade in _PRINTED_TERM_RE.findall(text):
-            exponents = [0] * m
-            for j, e in _POWER_RE.findall(powers):
-                if not 1 <= (j := int(j)) <= m:  # the walker raises the error
-                    return None
-                exponents[j - 1] += int(e or 1)
-            terms.append((tuple(exponents), blades[blade], Fraction(int(sign + num), int(den or 1))))
-    except (KeyError, ValueError, ZeroDivisionError):  # unsorted or foreign blade, over-long literal, n/0
+            if (mono := monos.get(powers)) is None:
+                exponents = [0] * m
+                for j, e in _POWER_RE.findall(powers):
+                    if not 1 <= (j := int(j)) <= m:  # the walker raises the error
+                        return None
+                    exponents[j - 1] += int(e or 1)
+                mono = monos[powers] = tuple(exponents)
+            if not (d := int(den or 1)):  # n/0: the walker raises the error
+                return None
+            terms.append((mono, blades[blade], int(sign + num), d))
+    except (KeyError, ValueError):  # unsorted or foreign blade, over-long literal
         return None
     return terms
 
 
 def _walk(text: str, m: int):
-    """Yield the (monomial, blade, value) terms of any grammar text, by one loop over its tokens."""
+    """Yield the (monomial, blade, numerator, denominator) terms of any grammar text, by one loop over its tokens."""
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
@@ -179,8 +184,8 @@ def _walk(text: str, m: int):
             enclosing.append(sign)
             sign, i = term_sign, i + 1
             continue
-        i, mono, mask, value = _parse_term(tokens, i, length, m, signs, term_sign)
-        yield mono, mask, value
+        i, mono, mask, num, den = _parse_term(tokens, i, length, m, signs, term_sign)
+        yield mono, mask, num, den
         while i < count and tokens[i][1] == ")":
             if not enclosing:
                 raise PolynomialSyntaxError("unexpected trailing input ')'", tokens[i][2])
@@ -199,8 +204,10 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
     for variable or blade indices outside 1..m.
     """
     _check_dim(m)
-    acc: dict[Monomial, dict[int, Fraction]] = {}
-    for mono, mask, value in _printed_terms(text, m) or _walk(text, m):
+    terms = _printed_terms(text, m) or list(_walk(text, m))
+    den = math.lcm(*(d for _, _, _, d in terms))
+    acc: _Numerators = {}
+    for mono, mask, num, d in terms:
         row = acc.setdefault(mono, {})
-        row[mask] = row[mask] + value if mask in row else value
-    return CliffordPolynomial._trusted(m, *_from_fractions(acc))
+        row[mask] = row.get(mask, 0) + num * (den // d)
+    return CliffordPolynomial._trusted(m, den, _pruned(acc))

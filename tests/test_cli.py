@@ -183,7 +183,20 @@ class TestExitCodes:
     def test_parse_error_is_two(self, capsys):
         code, out, err = run_cli(capsys, "check", "--m", "2", "x3")
         assert code == 2 and out == ""
-        assert "position" in err
+        assert err == "error: variable index 3 out of range for m=2 (at position 0)\n"
+
+    def test_parse_error_names_the_file_line(self, capsys, tmp_path):
+        # blank lines are skipped but still counted
+        path = tmp_path / "bad.txt"
+        path.write_text("x1\n\nx1 + + x2\nx2\n")
+        code, out, err = run_cli(capsys, "check", "--m", "2", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 3: expected a factor, found '+' (at position 5)\n"
+
+    def test_parse_error_names_the_argument(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--m", "2", "x1", "x3")
+        assert code == 2 and out == ""
+        assert err == "error: input 2: variable index 3 out of range for m=2 (at position 0)\n"
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit"

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +294,83 @@ class TestPrintedPath:
         bad = len(text) + 1
         assert _outcome(text + " @", 4) == ("error", f"unexpected character '@' (at position {bad})", bad)
         assert _walker_only(monkeypatch)(text, 4) == got
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """The arguments of every Fraction built during the test."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return calls
+
+
+def _benchmark_texts() -> list[tuple[str, int]]:
+    """(text, m) of every parse in the fischer and check corpora of seeds 0-9, from perfbench/workloads.py."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+        sys.path.remove(perfbench)
+    items = [item for seed in range(10)
+             for workload in (workloads.Fischer(), workloads.Check()) for item in workload.corpus(seed, False)]
+    return [(item["text"], item["m"]) for item in items if "text" in item]
+
+
+PRINTED_TEXT = "1/2*x1*e1 - 3*x2^2 + 5/6*x1*e1 - 7/4"
+
+# Unreduced, repeated and cancelling terms in the printer's form, and what they sum to: (text, m, terms).
+UNREDUCED = [
+    ("2/4*x1 + 1/6*x1", 2, {(1, 0): Fraction(2, 3)}),
+    ("1*x1 - 2/2*x1", 2, {}),
+    ("3/9*x1*e1 - 1/3*x1*e1 + 5/10*x2", 2, {(0, 1): Fraction(1, 2)}),
+    ("0/7*x1^2*e12 + 4/6 - 0*x2", 2, {(0, 0): Fraction(2, 3)}),
+    ("6/4*e12 + 6/4*e12 - 9/12*x1*x2^3*e2", 2,
+     {(0, 0): Multivector(2, {3: 3}), (1, 3): Multivector(2, {2: Fraction(-3, 4)})}),
+]
+
+
+class TestIntegerParse:
+    """Both paths sum integer numerators: no Fraction is built, and the stored form is the canonical one."""
+
+    def test_printed_path_builds_no_fraction(self, tokenize_calls, fraction_calls):
+        parse_polynomial(PRINTED_TEXT, 2)
+        assert tokenize_calls == [] and fraction_calls == []
+        assert Fraction(1, 2) and fraction_calls == [(1, 2)]  # the counter counts
+
+    @pytest.mark.parametrize("text, m", [("1/2*x1*e21 - 3/4", 2), ("1/2*x10*e{1,10} - 3/4*x1", 10)])
+    def test_walker_builds_no_fraction(self, tokenize_calls, fraction_calls, text, m):
+        parse_polynomial(text, m)
+        assert tokenize_calls == [text] and fraction_calls == []
+
+    def test_forced_walker_builds_no_fraction(self, monkeypatch, tokenize_calls, fraction_calls):
+        _walker_only(monkeypatch)(PRINTED_TEXT, 2)
+        assert tokenize_calls == [PRINTED_TEXT] and fraction_calls == []
+
+    @pytest.mark.parametrize("text, m, terms", UNREDUCED)
+    def test_unreduced_terms_store_the_canonical_form(self, monkeypatch, tokenize_calls, text, m, terms):
+        expected = CliffordPolynomial(m, terms)
+        printed = parse_polynomial(text, m)
+        assert tokenize_calls == []
+        walked = _walker_only(monkeypatch)(text, m)
+        assert (printed._den, printed._nums) == (walked._den, walked._nums) == (expected._den, expected._nums)
+
+    def test_benchmark_corpora_agree_on_every_path(self, monkeypatch, tokenize_calls):
+        texts = _benchmark_texts()
+        assert len(texts) == 10 * (88 + 49)
+        printed = [parse_polynomial(text, m) for text, m in texts]
+        assert tokenize_calls == []
+        walker = _walker_only(monkeypatch)
+        for (text, m), p in zip(texts, printed):
+            assert walker(text, m) == p == reference_parse(text, m), text
 
 
 def _edits(rng: random.Random, text: str, alphabet: str) -> list[str]:
