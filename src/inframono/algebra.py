@@ -35,10 +35,6 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension must be an integer in 1..{MAX_DIM}, got {dim!r}")
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def blade_sign(a_mask: int, b_mask: int) -> int:
     """Sign of the product e_A * e_B in Cl(0, m).
 
@@ -48,9 +44,9 @@ def blade_sign(a_mask: int, b_mask: int) -> int:
     swaps = 0
     shifted = a_mask >> 1
     while shifted:
-        swaps += _popcount(shifted & b_mask)
+        swaps += (shifted & b_mask).bit_count()
         shifted >>= 1
-    swaps += _popcount(a_mask & b_mask)
+    swaps += (a_mask & b_mask).bit_count()
     return -1 if swaps & 1 else 1
 
 
@@ -77,9 +73,9 @@ def _vector_signs(dim: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[in
 
     masks = range(1 << dim)
     left = tuple(
-        tuple(sign(_popcount(mask & ((2 << j) - 1))) for j in range(dim)) for mask in masks
+        tuple(sign((mask & ((2 << j) - 1)).bit_count()) for j in range(dim)) for mask in masks
     )
-    right = tuple(tuple(sign(_popcount(mask >> j)) for j in range(dim)) for mask in masks)
+    right = tuple(tuple(sign((mask >> j).bit_count()) for j in range(dim)) for mask in masks)
     return left, right
 
 
@@ -148,7 +144,7 @@ class BladeIndex:
 
     @property
     def grade(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def indices(self) -> tuple[int, ...]:
         return tuple(j + 1 for j in range(self.dim) if self.mask >> j & 1)
@@ -165,7 +161,7 @@ def blade_mul(a: BladeIndex, b: BladeIndex) -> tuple[int, BladeIndex]:
 
 
 def _blade_order_key(mask: int) -> tuple[int, int]:
-    return (_popcount(mask), mask)
+    return (mask.bit_count(), mask)
 
 
 def blades_in_order(dim: int) -> list[int]:
@@ -253,11 +249,11 @@ class Multivector:
         return bool(self._terms)
 
     def grades(self) -> set[int]:
-        return {_popcount(mask) for mask in self._terms}
+        return {mask.bit_count() for mask in self._terms}
 
     def is_pure_grade(self, k: int) -> bool:
         """True when every stored term has grade k (vacuously true for 0)."""
-        return all(_popcount(mask) == k for mask in self._terms)
+        return all(mask.bit_count() == k for mask in self._terms)
 
     def pure_grade(self) -> int | None:
         """The common grade of all terms, or None for zero / mixed values."""
@@ -343,13 +339,13 @@ class Multivector:
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto the grade-k part; zero when k is out of range."""
-        return Multivector(self._dim, {m: c for m, c in self._terms.items() if _popcount(m) == k})
+        return Multivector(self._dim, {m: c for m, c in self._terms.items() if m.bit_count() == k})
 
     def conjugate(self) -> "Multivector":
         """Clifford conjugation: e_A -> (-1)^(|A|(|A|+1)/2) e_A, an anti-automorphism."""
         terms = {}
         for mask, coeff in self._terms.items():
-            g = _popcount(mask)
+            g = mask.bit_count()
             if (g * (g + 1) // 2) & 1:
                 terms[mask] = -coeff
             else:

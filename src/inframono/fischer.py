@@ -42,8 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import factorial, gcd, lcm
+from math import factorial, lcm, prod
 
 from . import linalg
 from .algebra import _as_fraction, blade_sign, blades_in_order
@@ -62,8 +61,8 @@ from .polynomials import (
     Monomial,
     _apply_integer,
     _check_degree,
+    _collect,
     _combination,
-    _from_fractions,
     _parity,
     euler,
     monomial_basis,
@@ -119,19 +118,18 @@ def _from_sectors(m: int, k: int, vec: SectorVector, den: int) -> CliffordPolyno
     """The polynomial with coordinates P_k vec / den, read from the touched sectors only.
 
     They are read in ascending v, which fixes the order of the monomials,
-    and each is released once read.
+    and each is released once read; `_trusted` reduces the dict in place.
     """
     table = _monomial_table(m, k)[1]
     maps = _conjugation(m, k)
-    g = gcd(den, *chain.from_iterable(vec.values()))  # divided out here, so `_trusted` copies nothing
     nums: dict[Monomial, dict[int, int]] = {}
     for v in sorted(vec):
         src, signs = maps[v]
         values = vec.pop(v)
         for (mono, par), i in zip(table, src):
             if x := values[i]:
-                nums.setdefault(mono, {})[v ^ par] = x // g if signs[par] > 0 else -x // g
-    return CliffordPolynomial._trusted(m, den // g, nums)
+                nums.setdefault(mono, {})[v ^ par] = x if signs[par] > 0 else -x
+    return CliffordPolynomial._trusted(m, den, nums)
 
 
 def coords(p: CliffordPolynomial, k: int) -> list[Fraction]:
@@ -145,20 +143,16 @@ def from_coords(m: int, k: int, vec: list[Fraction]) -> CliffordPolynomial:
     size = space_dim(m, k)
     if len(vec) != size:
         raise ValueError(f"expected {size} coordinates, got {len(vec)}")
-    terms: dict[Monomial, dict[int, Fraction]] = {}
-    for (mono, mask), x in zip(poly_basis(m, k), vec):
-        terms.setdefault(mono, {})[mask] = _as_fraction(x)
-    return CliffordPolynomial._trusted(m, *_from_fractions(terms))
+    pairs = zip(poly_basis(m, k), map(_as_fraction, vec))
+    return CliffordPolynomial._trusted(m, *_collect((mono, mask, x.numerator, x.denominator)
+                                                    for (mono, mask), x in pairs))
 
 
 # -- Fischer inner product -----------------------------------------------------
 
 
 def _mono_factorial(mono: Monomial) -> int:
-    out = 1
-    for e in mono:
-        out *= factorial(e)
-    return out
+    return prod(map(factorial, mono))
 
 
 def _check_pairing(p: CliffordPolynomial, q: CliffordPolynomial) -> None:
@@ -345,7 +339,7 @@ def _weights(m: int, k: int) -> tuple[int, ...]:
 
 def _orbit_index(m: int) -> tuple[int, ...]:
     """Entry v is sector v's orbit j = min(|v|, m - |v|) <= m/2, whose representative is 2^j - 1."""
-    return tuple(min(w, m - w) for w in (bin(v).count("1") for v in range(1 << m)))
+    return tuple(min(w, m - w) for w in (v.bit_count() for v in range(1 << m)))
 
 
 def _composition(sand, wrap) -> list[list[list[int]]]:
@@ -384,7 +378,7 @@ def _conjugation(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     parities = {par for _, par in table}
     maps = [None] * (full + 1)
     for u in range(full + 1):
-        j = bin(u).count("1")
+        j = u.bit_count()
         if 2 * j > m:
             continue
         sigma = [b for b in range(m) if u >> b & 1] + [b for b in range(m) if not u >> b & 1]
@@ -429,20 +423,24 @@ def _composition_solver(m: int, k: int) -> tuple:
     return den, scaled, sand, wrap, _orbit_index(m)
 
 
+def _orbit_rank(m: int, dense_blocks) -> int:
+    """Sum over orbits j of the orbit's size times the exact rank of its representative's dense block."""
+    return sum(_orbit_index(m).count(j) * linalg.rank(block) for j, block in enumerate(dense_blocks))
+
+
 def composition_rank(m: int, k: int) -> int:
     """Rank of Q -> sandwich(x Q x) on P(k-2): orbit sizes times representatives' exact ranks."""
     _check_degree(k)
     if k < 2:
         return 0
-    blocks = _composition(sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2))
-    return sum(_orbit_index(m).count(j) * linalg.rank(block) for j, block in enumerate(blocks))
+    return _orbit_rank(m, _composition(sector_operator("sandwich", m, k), sector_operator("wrap_x", m, k - 2)))
 
 
 def sandwich_rank(m: int, k: int) -> int:
     """Rank of the sandwich operator on P(k): orbit sizes times representatives' exact ranks."""
     blocks = sector_operator("sandwich", m, k)  # first, so that it checks k
     n = monomial_count(m, k - 2) if k >= 2 else 0
-    return sum(_orbit_index(m).count(j) * linalg.rank(_block(cols, n)) for j, cols in enumerate(blocks))
+    return _orbit_rank(m, (_block(cols, n) for cols in blocks))
 
 
 def infra_space_dim(m: int, k: int) -> int:
@@ -594,9 +592,9 @@ def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     """Iterate the splitting down to degree < 2; always floor(k/2)+1 layers.
 
     Step 0 is `fischer_decompose(p)` and step s+1 is `fischer_decompose`
-    of step s's quotient; layer s is step s's infra part.  The
-    reconstruction and sandwich_zero flags are the AND over all steps,
-    and orthogonality is step 0's.
+    of step s's quotient; layer s is step s's infra part.  Each of the
+    reconstruction, sandwich_zero and orthogonal flags is the AND of that
+    flag over all steps.
     """
     if not p.is_homogeneous():
         raise ValueError("tower decomposition requires a homogeneous polynomial")
@@ -606,7 +604,7 @@ def fischer_tower(p: CliffordPolynomial) -> FischerTower:
     checks = DecompositionChecks(
         all(step.checks.reconstruction for step in steps),
         all(step.checks.sandwich_zero for step in steps),
-        steps[0].checks.orthogonal,
+        all(step.checks.orthogonal for step in steps),
     )
     layers = tuple(TowerLayer(s, step.infra_part) for s, step in enumerate(steps))
     return FischerTower(p, layers, steps[0].quotient, checks)
@@ -719,7 +717,7 @@ def kernel_basis(
     for v, (src, signs), j in zip(range(1 << m), _conjugation(m, k), _orbit_index(m)):
         keep = [
             i for i, (_, par) in enumerate(table)
-            if grade is None or bin(v ^ par).count("1") == grade
+            if grade is None or (v ^ par).bit_count() == grade
         ]
         if not keep:
             continue
@@ -730,8 +728,8 @@ def kernel_basis(
         else:
             vectors = [[int(i == l) for l in range(len(keep))] for i in range(len(keep))]
         for vec in vectors:
-            terms = {table[i][0]: {v ^ table[i][1]: x} for x, i in zip(vec, keep)}
-            out.append(CliffordPolynomial._trusted(m, *_from_fractions(terms)))
+            terms = ((table[i][0], v ^ table[i][1], x.numerator, x.denominator) for x, i in zip(vec, keep))
+            out.append(CliffordPolynomial._trusted(m, *_collect(terms)))
     return tuple(out)
 
 

@@ -11,17 +11,16 @@ for m <= 9 is read with one regex match and one findall; all other text goes
 to the token walker, which defines the grammar and raises every syntax error.
 It is one loop over the tokens: a stack holds the sign in force in each open
 group, so nesting depth is not limited.  Both paths give integer terms (signed
-numerator, denominator), summed over one least common multiple; no Fraction.
+numerator, denominator), which `polynomials._collect` sums; no Fraction.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 
 from .algebra import _blade_table, _check_dim, _vector_signs
-from .polynomials import CliffordPolynomial, Monomial, _Numerators, _pruned
+from .polynomials import CliffordPolynomial, Monomial, _collect
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -204,10 +203,4 @@ def parse_polynomial(text: str, m: int) -> CliffordPolynomial:
     for variable or blade indices outside 1..m.
     """
     _check_dim(m)
-    terms = _printed_terms(text, m) or list(_walk(text, m))
-    den = math.lcm(*(d for _, _, _, d in terms))
-    acc: _Numerators = {}
-    for mono, mask, num, d in terms:
-        row = acc.setdefault(mono, {})
-        row[mask] = row.get(mask, 0) + num * (den // d)
-    return CliffordPolynomial._trusted(m, den, _pruned(acc))
+    return CliffordPolynomial._trusted(m, *_collect(_printed_terms(text, m) or _walk(text, m)))

@@ -320,7 +320,7 @@ def linear_monogenic_split(p: CliffordPolynomial, side: str = "left") -> LinearM
         g_const = g.coefficient((0,) * m)
         terms: dict[int, Fraction] = {}
         for mask, coeff in g_const.items():
-            grade = bin(mask).count("1")
+            grade = mask.bit_count()
             eigen = (2 * grade - m) * (-1 if grade & 1 else 1)
             if eigen == 0:
                 # Hypothesis forces this component of g to vanish; a nonzero

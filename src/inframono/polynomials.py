@@ -23,7 +23,6 @@ from .algebra import (
     _as_fraction,
     _check_dim,
     _format_terms,
-    _popcount,
     _vector_signs,
 )
 
@@ -75,22 +74,18 @@ def space_dim(m: int, k: int) -> int:
     return monomial_count(m, k) * (1 << m)
 
 
-def _coerce_coefficient(dim: int, coeff: CoefficientLike) -> Multivector:
-    if isinstance(coeff, Multivector):
-        if coeff.dim != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {coeff.dim}")
-        return coeff
-    return Multivector.scalar(dim, coeff)
-
-
 _Numerators = dict[Monomial, dict[int, int]]
 
 
-def _from_fractions(terms: Mapping[Monomial, Mapping[int, RationalLike]]) -> tuple[int, _Numerators]:
-    """Fraction coefficients as numerators over their least common denominator, zeros dropped."""
-    den = math.lcm(*(value.denominator for blades in terms.values() for value in blades.values()))
-    return den, _pruned({mono: {mask: v.numerator * (den // v.denominator) for mask, v in blades.items()}
-                         for mono, blades in terms.items()})
+def _collect(terms: Iterable[tuple[Monomial, int, int, int]]) -> tuple[int, _Numerators]:
+    """Sum (monomial, blade, numerator, denominator) terms, repeats allowed, over one lcm: (den, nums), no zero."""
+    terms = list(terms)
+    den = math.lcm(*(d for _, _, _, d in terms))
+    nums: _Numerators = {}
+    for mono, mask, num, d in terms:
+        row = nums.setdefault(mono, {})
+        row[mask] = row.get(mask, 0) + num * (den // d)
+    return den, _pruned(nums)
 
 
 def _pruned(nums: _Numerators) -> _Numerators:
@@ -131,32 +126,38 @@ class CliffordPolynomial:
 
     def __init__(self, dim: int, terms: Mapping[Monomial, CoefficientLike] | None = None):
         _check_dim(dim)
-        fractions: dict[Monomial, dict[int, Fraction]] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != dim or any(not isinstance(e, int) or e < 0 for e in mono):
-                    raise ValueError(f"bad exponent tuple {mono!r} for dimension {dim}")
-                fractions[mono] = _coerce_coefficient(dim, coeff)._terms
-        self._store(dim, *_from_fractions(fractions))
+        rows: list[tuple[Monomial, int, int, int]] = []
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != dim or any(not isinstance(e, int) or e < 0 for e in mono):
+                raise ValueError(f"bad exponent tuple {mono!r} for dimension {dim}")
+            if not isinstance(coeff, Multivector):
+                coeff = Multivector.scalar(dim, coeff)
+            elif coeff.dim != dim:
+                raise ValueError(f"dimension mismatch: {dim} vs {coeff.dim}")
+            rows += [(mono, mask, x.numerator, x.denominator) for mask, x in coeff._terms.items()]
+        self._store(dim, *_collect(rows))
 
     @classmethod
     def _trusted(cls, dim: int, den: int, nums: _Numerators) -> "CliffordPolynomial":
         """Wrap numerators over den, unchecked and uncopied, in lowest terms.
 
         For numerators the library built itself: den > 0, valid monomials
-        and masks, no zero numerator.  Outside input goes through __init__.
+        and masks, no zero numerator.  It takes ownership of nums, which
+        `_store` divides in place, so the caller hands over a dict it built
+        and keeps none.  Outside input goes through __init__.
         """
         self = object.__new__(cls)
         self._store(dim, den, nums)
         return self
 
     def _store(self, dim: int, den: int, nums: _Numerators) -> None:
-        """Set the slots, dividing den and every numerator by their gcd."""
+        """Set the slots, dividing den and every numerator by their gcd, nums in place."""
         g = math.gcd(den, *chain.from_iterable(map(dict.values, nums.values())))
         if g != 1:
             den //= g
-            nums = {mono: {mask: x // g for mask, x in blades.items()} for mono, blades in nums.items()}
+            for mono, blades in nums.items():
+                nums[mono] = {mask: x // g for mask, x in blades.items()}
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
@@ -182,9 +183,7 @@ class CliffordPolynomial:
     def variable(cls, dim: int, j: int) -> "CliffordPolynomial":
         if not 1 <= j <= dim:
             raise ValueError(f"variable index {j} out of range 1..{dim}")
-        exps = [0] * dim
-        exps[j - 1] = 1
-        return cls(dim, {tuple(exps): 1})
+        return cls.monomial(dim, (int(i == j) for i in range(1, dim + 1)))
 
     # -- inspection --------------------------------------------------------
 
@@ -223,7 +222,7 @@ class CliffordPolynomial:
         return degrees <= {k}
 
     def grades(self) -> set[int]:
-        return {_popcount(mask) for blades in self._nums.values() for mask in blades}
+        return {mask.bit_count() for blades in self._nums.values() for mask in blades}
 
     def is_pure_grade(self, g: int) -> bool:
         return self.grades() <= {g}
@@ -236,7 +235,7 @@ class CliffordPolynomial:
 
     def grade(self, g: int) -> "CliffordPolynomial":
         """Coefficient-wise grade projection."""
-        nums = {mono: {mask: x for mask, x in blades.items() if _popcount(mask) == g}
+        nums = {mono: {mask: x for mask, x in blades.items() if mask.bit_count() == g}
                 for mono, blades in self._nums.items()}
         return CliffordPolynomial._trusted(self._dim, self._den, _pruned(nums))
 

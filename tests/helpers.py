@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from inframono import (
     CliffordPolynomial,
@@ -21,6 +23,19 @@ from inframono import fischer
 from inframono.linalg import SingularMatrixError
 from inframono.numeric import NumericMultivector
 from inframono.polynomials import _apply_integer
+
+
+def benchmark_workloads():
+    """The module perfbench/workloads.py, imported read-only: no bytecode is written into perfbench/."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+        sys.path.remove(perfbench)
+    return workloads
 
 
 def random_rational(rng: random.Random, span: int = 9, max_den: int = 4) -> Fraction:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -34,6 +35,7 @@ from inframono import (
     monomial_basis,
     monomial_count,
     mul_by_x_left,
+    parse_polynomial,
     poly_basis,
     sandwich,
     sandwich_rank,
@@ -407,6 +409,22 @@ class TestTower:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
             fischer_tower(X1SQ + CliffordPolynomial.constant(2, 1))
+
+    @pytest.mark.parametrize("flag", ["reconstruction", "sandwich_zero", "orthogonal"])
+    def test_a_fault_in_a_later_step_fails_the_tower(self, monkeypatch, flag):
+        decompose, calls = fischer.fischer_decompose, []
+
+        def faulty_second_step(p):
+            result = decompose(p)
+            calls.append(p)
+            if len(calls) == 2:
+                result = dataclasses.replace(result, checks=dataclasses.replace(result.checks, **{flag: False}))
+            return result
+
+        monkeypatch.setattr(fischer, "fischer_decompose", faulty_second_step)
+        tower = fischer_tower(parse_polynomial("x1^4*e12 + 2*x2^2*x3^2", 3))
+        assert len(calls) == 3
+        assert tower.checks == dataclasses.replace(DecompositionChecks(True, True, True), **{flag: False})
 
 
 # Oracles that need no S o T inverse: the tower is unique, so planted

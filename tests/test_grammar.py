@@ -1,7 +1,6 @@
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +11,7 @@ from inframono import (
     grammar,
     parse_polynomial,
 )
-from helpers import LONG_DIGITS, LONG_LITERALS, random_polynomial, reference_parse
+from helpers import LONG_DIGITS, LONG_LITERALS, benchmark_workloads, random_polynomial, reference_parse
 
 
 class TestParsing:
@@ -312,14 +311,7 @@ def fraction_calls(monkeypatch):
 
 def _benchmark_texts() -> list[tuple[str, int]]:
     """(text, m) of every parse in the fischer and check corpora of seeds 0-9, from perfbench/workloads.py."""
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    sys.path.insert(0, perfbench)
-    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ as it is
-    try:
-        import workloads
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-        sys.path.remove(perfbench)
+    workloads = benchmark_workloads()
     items = [item for seed in range(10)
              for workload in (workloads.Fischer(), workloads.Check()) for item in workload.corpus(seed, False)]
     return [(item["text"], item["m"]) for item in items if "text" in item]

@@ -1,3 +1,5 @@
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -5,16 +7,27 @@ import pytest
 
 from inframono import (
     CliffordPolynomial,
+    KernelSampler,
     Multivector,
+    dirac_left,
+    dirac_right,
     euler,
+    fischer_decompose,
+    fischer_tower,
+    from_coords,
+    grammar,
+    kernel_basis,
+    laplacian,
     monomial_basis,
     monomial_count,
     mul_by_x_left,
     mul_by_x_right,
+    parse_polynomial,
+    sandwich,
     space_dim,
     x_vector,
 )
-from helpers import random_multivector, random_polynomial
+from helpers import benchmark_workloads, random_multivector, random_polynomial
 
 
 def poly(m, terms):
@@ -251,3 +264,129 @@ class TestStructural:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             poly(2, {(1, 0): 0.5})
+
+
+# -- the stored form: integer numerators over one denominator, in lowest terms --
+
+
+def assert_lowest_terms(p):
+    """den > 0, no zero numerator and no empty monomial, and gcd(den, every numerator) = 1."""
+    values = [x for blades in p._nums.values() for x in blades.values()]
+    assert p._den > 0
+    assert all(p._nums.values()) and all(values)
+    assert math.gcd(p._den, *values) == 1
+
+
+def stored(p):
+    """A deep copy of what p stores, to show later that nothing changed it."""
+    return p._den, copy.deepcopy(p._nums)
+
+
+# Texts whose terms share factors with their denominators, repeat or cancel: (text, m).
+UNREDUCED_TEXTS = [
+    ("2/4*x1^2 + 6/4*x2^2*e12", 2),
+    ("4/6*x1*x2*e1 - 2/6*x1*x2*e1 + 10/15*x3^2*e23", 3),
+    ("3*x1 - 3*x1 + 6/9*x2", 2),
+    ("2/2*x1^2 - 2/2*x1^2", 2),
+    ("8/4*x1 + 2*x2*e1", 2),
+]
+
+
+def _walker_unused(text, m):
+    raise AssertionError(f"the token walker was reached for {text!r}")
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("text,m", UNREDUCED_TEXTS)
+    def test_both_parse_paths(self, monkeypatch, text, m):
+        with monkeypatch.context() as patch:
+            patch.setattr(grammar, "_walk", _walker_unused)
+            printed = parse_polynomial(text, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(grammar, "_printed_terms", lambda text, m: None)
+            walked = parse_polynomial(text, m)
+        assert_lowest_terms(printed)
+        assert_lowest_terms(walked)
+        assert stored(printed) == stored(walked)
+
+    def test_parse_reduces_a_shared_factor(self):
+        p = parse_polynomial("2/4*x1^2 + 6/4*x2^2*e12", 2)
+        assert (p._den, p._nums) == (2, {(2, 0): {0: 1}, (0, 2): {3: 3}})
+
+    def test_constructor(self):
+        terms = {(2, 0): Fraction(2, 4), (0, 2): Multivector(2, {3: Fraction(6, 4)}),
+                 (1, 1): Multivector(2, {1: 4, 2: Fraction(8, 6)}), (0, 0): 0}
+        p = CliffordPolynomial(2, terms)
+        assert_lowest_terms(p)
+        assert p == parse_polynomial("1/2*x1^2 + 4*x1*x2*e1 + 4/3*x1*x2*e2 + 3/2*x2^2*e12", 2)
+        for q in (CliffordPolynomial.zero(3), CliffordPolynomial.constant(2, 6), CliffordPolynomial.variable(3, 2),
+                  CliffordPolynomial.monomial(2, (1, 2), Fraction(-10, 4)), x_vector(4)):
+            assert_lowest_terms(q)
+
+    def test_from_coords(self):
+        size = space_dim(2, 2)
+        for vec in ([Fraction(2 * i, 6) for i in range(size)], [Fraction(4, 8)] * size, [0] * size,
+                    [6 * (i % 3) for i in range(size)]):
+            p = from_coords(2, 2, vec)
+            assert_lowest_terms(p)
+            assert p == from_coords(2, 2, [Fraction(x) for x in vec])
+
+    @pytest.mark.parametrize("m,k,kind,grade", [
+        (2, 3, "inframonogenic", None), (3, 4, "harmonic", None), (3, 3, "left_monogenic", None),
+        (3, 3, "right_monogenic", 2), (4, 2, "two_sided_monogenic", None), (3, 4, "inframonogenic", 1),
+    ])
+    def test_kernel_basis(self, m, k, kind, grade):
+        basis = kernel_basis(m, k, kind, grade)
+        assert basis
+        for p in basis:
+            assert_lowest_terms(p)
+
+    def test_sums_and_scalar_multiples_leave_their_inputs_alone(self):
+        p = parse_polynomial("1/2*x1^2 + 3/2*x2^2*e12 + 3*x1*x2*e1", 2)
+        q = parse_polynomial("1/2*x1^2 - 1/6*x2^2*e12 + 3*x1*x2*e2", 2)
+        r = parse_polynomial("3/2*x1 + 6*x2*e1", 2)  # every numerator a multiple of 3
+        before = stored(p), stored(q), stored(r)
+        values = [p + q, p - q, q - p, p - p, -p, p + 3, 2 + q, p * 2, p * Fraction(2, 3), 6 * q, p / 3,
+                  p / Fraction(1, 2), q * 0, r / 3, r * Fraction(1, 3), r + r, r - p]
+        for value in values:
+            assert_lowest_terms(value)
+        assert (stored(p), stored(q), stored(r)) == before
+        assert r / 3 == parse_polynomial("1/2*x1 + 2*x2*e1", 2)
+        assert p * 2 == parse_polynomial("x1^2 + 3*x2^2*e12 + 6*x1*x2*e1", 2)
+
+    def test_operators_leave_their_inputs_alone(self):
+        p = parse_polynomial("1/2*x1^2*e1 + 3/2*x2^2*e12 + 1/2*x1*x2 + 5/6*x1^3*e2 - 1/3*x2", 2)
+        before = stored(p)
+        values = [dirac_left(p), dirac_right(p), laplacian(p), sandwich(p), mul_by_x_left(p), mul_by_x_right(p),
+                  euler(p), p.partial(1), p.partial(2), p.grade(0), p.grade(1), p.grade(2),
+                  p.mul_left(p.coefficient((2, 0)))]
+        for value in values:
+            assert_lowest_terms(value)
+        assert stored(p) == before
+        assert p.partial(1) == parse_polynomial("x1*e1 + 1/2*x2 + 5/2*x1^2*e2", 2)
+        assert euler(p).grade(1) == parse_polynomial("x1^2*e1 + 5/2*x1^3*e2", 2)
+
+    def test_sampler_draws_leave_the_cached_basis_alone(self):
+        basis = kernel_basis(3, 4, "harmonic", None)
+        before = [stored(b) for b in basis]
+        sampler = KernelSampler(3, 4, seed=11)
+        for _ in range(5):
+            assert_lowest_terms(sampler.harmonic())
+        assert [stored(b) for b in kernel_basis(3, 4, "harmonic", None)] == before
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decomposition_parts_on_the_benchmark_corpus(self, seed):
+        for item in benchmark_workloads().Fischer().corpus(seed, False):
+            p = parse_polynomial(item["text"], item["m"])
+            before = stored(p)
+            if item["op"] == "decompose":
+                result = fischer_decompose(p)
+                parts = [result.infra_part, result.quotient]
+            else:
+                result = fischer_tower(p)
+                parts = [layer.component for layer in result.layers]
+                parts += [result.first_quotient, result.reconstruct()]
+            assert result.checks.all_ok
+            for part in [p] + parts:
+                assert_lowest_terms(part)
+            assert stored(p) == before
