@@ -3,12 +3,16 @@
 Exactness lives elsewhere; this module exists to check the one
 non-polynomial closed-form family of plane fields numerically.  Blade
 products reuse the exact sign function from `algebra`, so the numeric
-side cannot disagree with the exact side about orientation.
+side cannot disagree with the exact side about orientation.  Fields must be
+pure: one slot keeps the last completed grid scan's records for the next scan
+of the same field object, an equal step and a bit-identical grid, so a
+sandwich then a Laplacian scan costs 9 evaluations per point, not 14.
 """
 
 from __future__ import annotations
 
 import functools
+import marshal
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -18,7 +22,7 @@ from .polynomials import CliffordPolynomial
 
 Point = Sequence[float]
 Field = Callable[[Point], "NumericMultivector"]
-_Kernel = Callable[[Field, Point, "NumericMultivector", float], list[float]]
+_Record = tuple["NumericMultivector", list[list[float]]]  # a point's centre and pure second differences
 
 
 def _max_abs(values: Sequence[float]) -> float:
@@ -34,13 +38,10 @@ class NumericMultivector:
     def __init__(self, dim: int, values: Sequence[float] | None = None):
         _check_dim(dim)
         self.dim = dim
-        if values is None:
-            self.values = [0.0] * (1 << dim)
-        else:
-            values = list(map(float, values))
-            if len(values) != 1 << dim:
-                raise ValueError(f"expected {1 << dim} blade slots, got {len(values)}")
-            self.values = values
+        values = [0.0] * (1 << dim) if values is None else list(map(float, values))
+        if len(values) != 1 << dim:
+            raise ValueError(f"expected {1 << dim} blade slots, got {len(values)}")
+        self.values = values
 
     @classmethod
     def _trusted(cls, dim: int, values: list[float]) -> "NumericMultivector":
@@ -123,15 +124,8 @@ def polynomial_function(p: CliffordPolynomial) -> Field:
 
 
 # -- finite-difference stencils -------------------------------------------------
-# The kernels work on blade-slot lists; each slot gets the IEEE operations, in the
-# order, of the NumericMultivector chain they replace, so results are bit-identical.
-
-
-def _shifted(point: Point, moves: dict[int, float]) -> list[float]:
-    out = list(map(float, point))
-    for axis, delta in moves.items():
-        out[axis] += delta
-    return out
+# The kernels reduce a point's record (its centre and pure second differences) on blade-slot lists,
+# with the IEEE operations, in the order, of the NumericMultivector chain they replace: bit-identical.
 
 
 def _check_step(h: float) -> None:
@@ -143,19 +137,27 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} is too large: 4 h^2 overflows to inf")
 
 
-def _second_difference(f: Field, point: Point, center: list[float], i: int, h: float) -> list[float]:
-    """Central 3-point second difference along axis i."""
-    plus, minus = f(_shifted(point, {i: h})).values, f(_shifted(point, {i: -h})).values
-    return [(p - c * 2.0 + q) / (h * h) for p, c, q in zip(plus, center, minus, strict=True)]
+def _record(f: Field, coords: list[float], h: float) -> _Record:
+    """The centre, then the central 3-point second difference along each axis."""
+    center, hh, diffs = f(coords), h * h, []
+    for i in range(center.dim):
+        plus, minus = coords.copy(), coords.copy()
+        plus[i], minus[i] = coords[i] + h, coords[i] - h
+        plus, minus = f(plus).values, f(minus).values
+        diffs.append([(p - c * 2.0 + q) / hh for p, c, q in zip(plus, center.values, minus, strict=True)])
+    return center, diffs
 
 
-def _hessian(f: Field, point: Point, center: NumericMultivector, h: float) -> list[list[list[float]]]:
-    """Pure differences on the diagonal, evaluated first; 4-point mixed ones off it."""
-    m, q, corners = center.dim, 4.0 * h * h, ((h, h), (h, -h), (-h, h), (-h, -h))
-    hess = [[_second_difference(f, point, center.values, i, h)] * m for i in range(m)]
+def _hessian(f: Field, coords: list[float], record: _Record, h: float) -> list[list[list[float]]]:
+    """The record's pure differences on the diagonal; 4-point mixed ones off it."""
+    diffs, q, m = record[1], 4.0 * h * h, len(record[1])
+    hess = [[entry] * m for entry in diffs]
     for i in range(m):
         for j in range(i + 1, m):
-            evals = [f(_shifted(point, {i: a, j: b})).values for a, b in corners]
+            corners = [coords.copy() for _ in range(4)]
+            for corner, (a, b) in zip(corners, ((h, h), (h, -h), (-h, h), (-h, -h))):
+                corner[i], corner[j] = coords[i] + a, coords[j] + b
+            evals = [f(corner).values for corner in corners]
             hess[i][j] = hess[j][i] = [(pp - pm - mp + mm) / q for pp, pm, mp, mm in zip(*evals, strict=True)]
     return hess
 
@@ -168,41 +170,43 @@ def _sandwich_signs(m: int) -> list[tuple[int, list[int]]]:
             for i in range(m) for j in range(m)]
 
 
-def _sandwich(f: Field, point: Point, center: NumericMultivector, h: float) -> list[float]:
-    total = [0.0] * len(center.values)
-    entries = [entry for row in _hessian(f, point, center, h) for entry in row]
-    for (flip, signs), entry in zip(_sandwich_signs(center.dim), entries, strict=True):
+def _sandwich(f: Field, coords: list[float], record: _Record, h: float) -> list[float]:
+    total = [0.0] * len(record[0].values)
+    entries = [entry for row in _hessian(f, coords, record, h) for entry in row]
+    for (flip, signs), entry in zip(_sandwich_signs(record[0].dim), entries, strict=True):
         for b, v in enumerate(entry):
             total[b ^ flip] += signs[b] * v
     return total
 
 
-def _laplacian(f: Field, point: Point, center: NumericMultivector, h: float) -> list[float]:
-    total = [0.0] * len(center.values)
-    for i in range(center.dim):
-        total = [t + d for t, d in zip(total, _second_difference(f, point, center.values, i, h), strict=True)]
+def _laplacian(f: Field, coords: list[float], record: _Record, h: float) -> list[float]:
+    total = [0.0] * len(record[0].values)
+    for entry in record[1]:
+        total = [t + d for t, d in zip(total, entry, strict=True)]
     return total
+
+
+def _at(kernel: Callable, f: Field, point: Point, h: float) -> tuple[int, list]:
+    _check_step(h)
+    coords = list(map(float, point))
+    record = _record(f, coords, h)
+    return record[0].dim, kernel(f, coords, record, h)
 
 
 def fd_hessian(f: Field, point: Point, h: float) -> list[list[NumericMultivector]]:
     """Central-difference Hessian: 3-point pure and 4-point mixed stencils."""
-    _check_step(h)
-    center = f(list(map(float, point)))
-    return [[NumericMultivector(center.dim, entry) for entry in row] for row in _hessian(f, point, center, h)]
+    dim, hess = _at(_hessian, f, point, h)
+    return [[NumericMultivector(dim, entry) for entry in row] for row in hess]
 
 
 def fd_sandwich(f: Field, point: Point, h: float) -> NumericMultivector:
     """Finite-difference sandwich: sum_{i,j} e_i H_ij e_j; O(h^2) consistent."""
-    _check_step(h)
-    center = f(list(map(float, point)))
-    return NumericMultivector(center.dim, _sandwich(f, point, center, h))
+    return NumericMultivector(*_at(_sandwich, f, point, h))
 
 
 def fd_laplacian(f: Field, point: Point, h: float) -> NumericMultivector:
     """Finite-difference Laplacian: sum of the pure second differences."""
-    _check_step(h)
-    center = f(list(map(float, point)))
-    return NumericMultivector(center.dim, _laplacian(f, point, center, h))
+    return NumericMultivector(*_at(_laplacian, f, point, h))
 
 
 # -- the closed-form plane field --------------------------------------------------
@@ -312,42 +316,53 @@ class GridScan:
         return self.max_residual / self.max_field if self.max_field else self.max_residual
 
 
-def _scan(kernel: _Kernel, f: Field, grid: Sequence[Point], h: float) -> GridScan:
+_last_scan: tuple[Field, tuple[float, bytes], list[_Record]] | None = None  # field, (h, grid bits), records
+
+
+def _scan(kernel: Callable, f: Field, grid: Sequence[Point], h: float) -> GridScan:
     """Grid maxima of the stencil residual and of |f|; a non-finite residual raises."""
+    global _last_scan
     _check_step(h)
     grid = list(grid)  # an empty iterator is truthy
     if not grid:
         raise ValueError("the grid is empty: there is no point to check")
-    worst = 0.0
-    scale = 0.0
-    for point in grid:
+    coords = [list(map(float, point)) for point in grid]
+    key = (h, marshal.dumps(coords, 2))  # format 2 writes each float's bits and shares no reference
+    last, _last_scan = _last_scan, None
+    reuse = last[2] if last is not None and last[0] is f and last[1] == key else None
+    records, worst, scale = [], 0.0, 0.0
+    for index, (point, at) in enumerate(zip(grid, coords)):
         try:
-            center = f(list(map(float, point)))
-            residual = _max_abs(kernel(f, point, center, h))
+            record = reuse[index] if reuse else _record(f, at, h)
+            residual = _max_abs(kernel(f, at, record, h))
         except OverflowError as exc:
             raise OverflowError(f"{exc} at grid point {tuple(point)} with step {h}") from exc
         if not math.isfinite(residual):
             raise ValueError(f"non-finite residual {residual} at grid point {tuple(point)}")
+        records.append(record)
         worst = max(worst, residual)
-        scale = max(scale, center.max_abs())
+        scale = max(scale, record[0].max_abs())
+    _last_scan = (f, key, records)
     return GridScan(worst, scale)
 
 
 def sandwich_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
+    """Grid maxima of the sandwich stencil and of |f|: 9 evaluations of f per plane point,
+    4 when the last completed scan had this f (`is`), h and bit-identical grid; f is pure."""
     return _scan(_sandwich, f, grid, h)
 
 
 def laplacian_scan(f: Field, grid: Sequence[Point], h: float = 1e-4) -> GridScan:
+    """Grid maxima of the Laplacian stencil and of |f|: 5 evaluations of f per plane point,
+    none when the last completed scan had this f (`is`), h and bit-identical grid; f is pure."""
     return _scan(_laplacian, f, grid, h)
 
 
 def family_harmonicity_scan(
-    family: TrigExpFamily,
-    grid: Sequence[Point] | None = None,
-    h: float = 1e-4,
-    tol: float = 1e-6,
+    family: TrigExpFamily, grid: Sequence[Point] | None = None, h: float = 1e-4, tol: float = 1e-6
 ) -> tuple[bool, GridScan]:
-    """Harmonic verdict: grid maximum of the numeric Laplacian within tol."""
+    """Harmonic verdict: grid maximum of the numeric Laplacian within tol; after a `sandwich_scan`
+    of this family object, h and bit-identical grid it reads that scan's records and evaluates nothing."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     scan = laplacian_scan(family, grid if grid is not None else grid_points(), h)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -15,7 +16,7 @@ from helpers import (
     reference_ode_system_residual,
     reference_scan,
 )
-from inframono import CliffordPolynomial, Multivector, laplacian, parse_polynomial, sandwich
+from inframono import CliffordPolynomial, Multivector, laplacian, numeric, parse_polynomial, sandwich
 from inframono.numeric import (
     GridScan,
     NumericMultivector,
@@ -442,3 +443,145 @@ class TestAgainstReference:
     def test_signed_zero_inf_and_nan(self):
         points = [(0.0, 0.0), (0.9, -0.3), (-0.9, 0.3), (0.0, 0.5), (1e-4, -1e-4)]
         self.assert_stencils_match(_special_field, _special_field, points, [1e-4, 0.5])
+
+
+def _counted(field):
+    """The field, and the list of the points it is called at; one object for every scan."""
+    calls = []
+
+    def counted(point):
+        calls.append(tuple(point))
+        return field(point)
+
+    return counted, calls
+
+
+def _count_profiles(monkeypatch) -> list[int]:
+    orders, profiles = [], TrigExpFamily._profiles
+
+    def counted(self, x1, order):
+        orders.append(order)
+        return profiles(self, x1, order)
+
+    monkeypatch.setattr(TrigExpFamily, "_profiles", counted)
+    return orders
+
+
+def _raised(scan, *args) -> tuple[type, str]:
+    with pytest.raises((ValueError, OverflowError)) as info:
+        scan(*args)
+    return info.type, str(info.value)
+
+
+def _quadric(sign):
+    """e1 K (x1^2 + sign x2^2), with K = 0.6e308 for x1 > 0.2 and 1 elsewhere: pure differences of 2K."""
+    return lambda point: NumericMultivector(
+        2, [0.0, (0.6e308 if point[0] > 0.2 else 1.0) * (point[0] ** 2 + sign * point[1] ** 2), 0.0, 0.0]
+    )
+
+
+def _cross(point):
+    # exp(x1 x2 / 2) at step 30 overflows only at the mixed corners of (10, 10)
+    return NumericMultivector(2, [math.exp(point[0] * point[1] / 2), 0.0, 0.0, 0.0])
+
+
+class TestScanReuse:
+    """A scan reads the last completed scan's records only for the same field, step and grid bits."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_last_scan", None)
+
+    @pytest.mark.parametrize("first, second", [(sandwich_scan, laplacian_scan), (laplacian_scan, sandwich_scan)])
+    def test_nine_evaluations_per_point_for_both_scans(self, first, second):
+        field, calls = _counted(TrigExpFamily(1, 0.5, 1, 0, 2))
+        grid = grid_points(3)
+        first(field, grid, 1e-4)
+        second(field, grid_points(3), 1e-4)  # an equal list, not the same one
+        assert len(calls) == len(set(calls)) == 9 * len(grid)
+
+    def test_family_profiles_nine_times_per_point(self, monkeypatch):
+        orders = _count_profiles(monkeypatch)
+        family = TrigExpFamily(1.0, 0.8, -0.6, 0.5, 2.0)
+        sandwich_scan(family, grid_points(), 1e-4)
+        family_harmonicity_scan(family, None, 1e-4)
+        assert orders == [0] * 9 * len(grid_points())
+
+    @pytest.mark.parametrize("index", range(len(FAMILIES)))
+    def test_reused_scans_match_cold_and_reference(self, index):
+        family, grid = FAMILIES[index], grid_points(5)
+        reference_f = reference_family_field(family)
+        for h in STEPS:
+            cold = {scan: scan(dataclasses.replace(family), grid, h) for scan in SCANS}
+            for scan in SCANS:
+                reference = reference_scan(REFERENCE_SCAN[scan], reference_f, grid, h)
+                assert bits(cold[scan]) == bits(reference), (scan, h)
+            sandwich_scan(family, grid, h)
+            for scan in (laplacian_scan, sandwich_scan, laplacian_scan):
+                before = numeric._last_scan[2]
+                warm = scan(family, grid, h)
+                assert all(a is b for a, b in zip(before, numeric._last_scan[2], strict=True))  # it read them
+                assert bits(warm) == bits(cold[scan]), (scan, h)
+            sandwich_scan(family, grid, h)
+            harmonic, warm = family_harmonicity_scan(family, grid, h, 1e-6)
+            assert bits(warm) == bits(cold[laplacian_scan])
+
+    @pytest.mark.parametrize("case", ["equal family", "other step", "one point", "signed zero", "mutated list"])
+    def test_nothing_wrongly_shared(self, case, monkeypatch):
+        family, grid, h = TrigExpFamily(1.0, 0.8, -0.6, 0.5, 2.0), grid_points(3), 1e-4
+        sandwich_scan(family, grid, h)
+        if case == "equal family":
+            family = dataclasses.replace(family)
+        elif case == "other step":
+            h = 2e-4
+        elif case == "one point":
+            grid = grid[:-1] + [(1.0, 0.5)]
+        elif case == "signed zero":
+            assert grid[4] == (0.0, 0.0)
+            grid = grid[:4] + [(-0.0, 0.0)] + grid[5:]
+        else:
+            grid[0] = (-1.0, -0.5)
+        orders = _count_profiles(monkeypatch)
+        warm = laplacian_scan(family, grid, h)
+        assert orders == [0] * 5 * len(grid)
+        monkeypatch.setattr(numeric, "_last_scan", None)
+        assert bits(warm) == bits(laplacian_scan(family, grid, h))
+
+    def test_signed_zero_changes_the_scan(self):
+        # a field that tells -0.0 from 0.0: a record shared across the two grids would give a wrong scale
+        field = lambda point: NumericMultivector(2, [math.copysign(1.0, point[0]) + 2.0, 0.0, 0.0, 0.0])
+        assert laplacian_scan(field, [(0.0, 0.0)], 1e-4).max_field == 3.0
+        assert laplacian_scan(field, [(-0.0, 0.0)], 1e-4).max_field == 1.0
+
+    @pytest.mark.parametrize("field, grid, h", [
+        (_special_field, [(0.0, 0.0), (0.9, -0.3), (-0.9, 0.3), (0.0, 0.5), (1e-4, -1e-4)], 1e-4),
+        (_special_field, grid_points(3, -1.0, -0.5), 0.5),
+        (TrigExpFamily(1, 1, 0, 0, 1), grid_points(3), 1e100),
+    ])
+    def test_errors_match_a_cold_scan(self, field, grid, h):
+        # each scan of the sequence would reuse the records of the one before it, had that one completed
+        for scan in (sandwich_scan, laplacian_scan, sandwich_scan):
+            got = _raised(scan, field, grid, h)
+            assert numeric._last_scan is None
+            assert got == _raised(scan, field, list(grid), h)
+
+    @pytest.mark.parametrize("field, h, first, second, error", [
+        (_quadric(1), 1e-4, sandwich_scan, laplacian_scan, "non-finite residual inf at grid point (0.3, -0.1)"),
+        (_quadric(-1), 1e-4, laplacian_scan, sandwich_scan, "non-finite residual inf at grid point (0.3, -0.1)"),
+        (_cross, 30.0, laplacian_scan, sandwich_scan, "math range error at grid point (10.0, 10.0) with step 30.0"),
+    ])
+    def test_reusing_scan_raises_like_a_cold_one(self, field, h, first, second, error):
+        # the first scan completes; the second reads its records and fails on its second point
+        grid = [(0.1, 0.2), (10.0, 10.0) if field is _cross else (0.3, -0.1)]
+        counted, calls = _counted(field)
+        first(counted, grid, h)
+        stored = len(calls)
+        warm = _raised(second, counted, grid, h)
+        assert warm[1] == error
+        assert not set(calls[stored:]) & set(calls[:stored])  # it read the records, evaluating no point again
+        # a scan that raised leaves nothing: the next one evaluates what a cold scan does
+        del calls[:]
+        assert _raised(second, counted, grid, h) == warm
+        cold_field, cold_calls = _counted(field)
+        assert _raised(second, cold_field, grid, h) == warm
+        assert calls == cold_calls
